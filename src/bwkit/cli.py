@@ -47,6 +47,7 @@ _LAYER_NOTE = (
 )
 
 _INT_LIMIT = 1 << 53  # JSON consumers lose exactness past double precision
+_FIELD_LIMIT = 1 << 31  # keeps trial-division primality under ~46k steps
 
 
 class InputError(ValueError):
@@ -92,8 +93,7 @@ def _load_input(path: str):
             raise InputError(f"bad complex: {exc}") from exc
     if "gens" in data:
         try:
-            n = int(data["vars"])
-            ring = RingSpec(n)
+            ring = RingSpec(data["vars"])
             monos: list[Monomial] = []
             polys: list[Polynomial] = []
             monomial_only = True
@@ -107,16 +107,12 @@ def _load_input(path: str):
                     else:
                         monos.append(terms[0][0])
                 else:
-                    m = Monomial(tuple(int(e) for e in g))
-                    if len(m.exponents) != n:
-                        raise InputError(f"generator {g} has wrong length")
+                    m = ring.monomial(g)
                     monos.append(m)
                     polys.append(Polynomial.from_monomial(ring, m))
             if monomial_only:
                 return ("ideal", MonomialIdeal(ring, monos))
             return ("polys", ring, polys)
-        except InputError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad ideal: {exc}") from exc
     raise InputError('input needs either "facets" (complex) or "vars"/"gens" (ideal)')
@@ -138,6 +134,8 @@ def _parse_field(spec: str) -> int | None:
             p = int(spec[2:])
         except ValueError as exc:
             raise InputError(f"bad field {spec!r}") from exc
+        if p >= _FIELD_LIMIT:
+            raise InputError(f"field characteristic {p} is too large (must be below 2^31)")
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise InputError(f"{p} is not prime")
         return p
@@ -154,7 +152,7 @@ def _cmd_bw(loaded, args):
     elif args.via_gin:
         source = loaded[1] if loaded[0] == "ideal" else loaded[2]
         result = gin(source, seed=args.seed)
-        p = bw_polynomial(result.ideal, route="borel" if not result.ideal.is_zero else "decomposition")
+        p = bw_polynomial(result.ideal, route="borel")
         via = True
     else:
         p = bw_polynomial(_require_monomial(loaded, "bw"))
@@ -309,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help='JSON input path, or "-" for stdin')
         p.add_argument("--seed", type=int, default=_default_seed(), help="randomness seed (default: BWKIT_SEED or 0)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--field", default="q", help='homology coefficients: "q" or "p:<prime>"')
+        if verb in ("betti", "local-cohomology"):
+            p.add_argument("--field", default="q", help='homology coefficients: "q" or "p:<prime>"')
         if verb == "bw":
             p.add_argument("--via-gin", action="store_true", dest="via_gin",
                            help="report the layer polynomial of the generic initial ideal")

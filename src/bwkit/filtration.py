@@ -128,9 +128,10 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
     """
     if not ideal.is_proper:
         raise ValueError("scm check wants a proper ideal")
-    bw_in = bw_polynomial(ideal)
+    dec_in = layer_decomposition(ideal)
     g = gin(ideal, seed=seed).ideal
-    bw_g = bw_polynomial(g, route="borel" if not g.is_zero else "decomposition")
+    dec_g = layer_decomposition(g, route="borel")
+    bw_in, bw_g = dec_in.bw(), dec_g.bw()
     scm = bw_in == bw_g
     witness = None
     if not scm:
@@ -141,8 +142,7 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
                 break
     criteria: tuple[CriterionVerdict, ...] = ()
     if full_battery:
-        chain_in = dimension_filtration(ideal)
-        chain_g = dimension_filtration(g, route="borel" if not g.is_zero else "decomposition")
+        chain_in, chain_g = dec_in.chain, dec_g.chain
         if chain_in.d != chain_g.d:
             raise AssertionError("gin changed the Krull dimension; this is a bug")
         found: dict[str, tuple[int, str]] = {}

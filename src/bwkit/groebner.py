@@ -23,7 +23,14 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .monomial import MonomialIdeal, is_strongly_stable
-from .ring import Monomial, Polynomial, RingSpec
+from .ring import (
+    Monomial,
+    Polynomial,
+    RingSpec,
+    _rank_int,
+    _substitute,
+    exponent_revlex_key,
+)
 
 __all__ = [
     "GroebnerBasis",
@@ -45,11 +52,6 @@ class NotCertified(RuntimeError):
 
 
 # -- engine helpers (raw exponent tuples, integer coefficients) ----------------
-
-
-def _poskey(m: Mono) -> tuple:
-    """Ascending revlex sort key."""
-    return (sum(m), tuple(-x for x in reversed(m)))
 
 
 def _negkey(m: Mono) -> tuple:
@@ -78,7 +80,7 @@ def _primitive(p: IntPoly) -> IntPoly:
         g = gcd(g, c)
         if g == 1:
             break
-    lead = max(p, key=_poskey)
+    lead = max(p, key=exponent_revlex_key)
     if p[lead] < 0:
         g = -g
     if g != 1:
@@ -92,7 +94,7 @@ class _Basis:
     __slots__ = ("lm", "lc", "tail", "mask", "deg")
 
     def __init__(self, poly: IntPoly):
-        self.lm = max(poly, key=_poskey)
+        self.lm = max(poly, key=exponent_revlex_key)
         self.lc = poly[self.lm]
         self.tail = tuple((m, c) for m, c in poly.items() if m != self.lm)
         self.mask = _mask(self.lm)
@@ -192,7 +194,9 @@ def _buchberger(inputs: list[IntPoly]) -> list[_Basis]:
             heapq.heappush(heap, (lcm_deg, s, t))
         G.append(g)
 
-    for p in sorted(inputs, key=lambda q: _poskey(max(q, key=_poskey))):
+    for p in sorted(
+        inputs, key=lambda q: exponent_revlex_key(max(q, key=exponent_revlex_key))
+    ):
         r = _reduce_full(p, G)
         if r:
             add(r)
@@ -236,7 +240,7 @@ def _autoreduce(G: list[_Basis]) -> list[IntPoly]:
             keep.append(g)
     # distinct leads are guaranteed (a remainder's lead divides no earlier lead),
     # so "minimal" needs no tie-breaking
-    keep.sort(key=lambda g: _poskey(g.lm))
+    keep.sort(key=lambda g: exponent_revlex_key(g.lm))
     out: list[IntPoly] = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
@@ -253,7 +257,7 @@ def _to_int_poly(f: Polynomial) -> IntPoly:
 
 
 def _to_polynomial(ring: RingSpec, p: IntPoly) -> Polynomial:
-    lead = max(p, key=_poskey)
+    lead = max(p, key=exponent_revlex_key)
     lc = p[lead]
     return Polynomial(ring, {Monomial(m): Fraction(c, lc) for m, c in p.items()})
 
@@ -368,91 +372,16 @@ _GIN_MEMO: dict[tuple, GinResult] = {}
 def _draw_matrix(rng: random.Random, n: int, bound: int) -> list[list[int]]:
     while True:
         m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        if _int_det(m) != 0:
+        if _rank_int(m) == n:
             return m
-
-
-def _int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Bareiss fraction-free determinant."""
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _transform_int(p: IntPoly, matrix: Sequence[Sequence[int]], n: int) -> IntPoly:
-    """Substitute xi -> sum_j matrix[i][j] xj on an integer poly, staying integral."""
-    images: list[IntPoly] = []
-    for i in range(n):
-        row: IntPoly = {}
-        for j in range(n):
-            if matrix[i][j]:
-                e = [0] * n
-                e[j] = 1
-                row[tuple(e)] = matrix[i][j]
-            # zero entries just drop out
-        images.append(row)
-
-    def mul(a: IntPoly, b: IntPoly) -> IntPoly:
-        out: IntPoly = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(m1, m2))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return out
-
-    powers: list[dict[int, IntPoly]] = [
-        {0: {tuple([0] * n): 1}} for _ in range(n)
-    ]
-
-    def power(i: int, e: int) -> IntPoly:
-        cache = powers[i]
-        if e not in cache:
-            best = max(k for k in cache if k <= e)
-            acc = cache[best]
-            for k in range(best + 1, e + 1):
-                acc = mul(acc, images[i])
-                cache[k] = acc
-        return cache[e]
-
-    result: IntPoly = {}
-    for m, c in p.items():
-        piece: IntPoly = {tuple([0] * n): c}
-        for i, e in enumerate(m):
-            if e:
-                piece = mul(piece, power(i, e))
-        for key, v in piece.items():
-            s = result.get(key, 0) + v
-            if s:
-                result[key] = s
-            else:
-                del result[key]
-    return _primitive(result)
 
 
 def _gin_trial(int_gens: list[IntPoly], n: int, rng: random.Random, bound: int) -> MonomialIdeal:
     matrix = _draw_matrix(rng, n, bound)
-    moved = [_transform_int(p, matrix, n) for p in int_gens]
+    moved = [_primitive(_substitute(p, matrix)) for p in int_gens]
     basis = _autoreduce(_buchberger(moved))
     ring = RingSpec(n)
-    return MonomialIdeal(ring, (Monomial(max(p, key=_poskey)) for p in basis))
+    return MonomialIdeal(ring, (Monomial(max(p, key=exponent_revlex_key)) for p in basis))
 
 
 def gin(

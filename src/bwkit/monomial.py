@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .ring import HilbertSeries, Monomial, RingSpec, UniPoly, revlex_key
-
-Exps = tuple[int, ...]
+from .ring import Exps, HilbertSeries, Monomial, RingSpec, UniPoly, revlex_key
 
 
 def _minimalize(exps: Iterable[Exps]) -> frozenset[Exps]:
@@ -175,8 +173,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MonomialIdeal":
-        ring = RingSpec(int(data["vars"]))
-        return cls.from_exponents(ring, data["gens"])
+        return cls.from_exponents(RingSpec(data["vars"]), data["gens"])
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
@@ -268,29 +265,30 @@ def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
     """
     if ideal.is_unit or ideal.is_zero:
         raise ValueError("primary decomposition wants a proper nonzero ideal")
-    pieces = _irreducible_components(ideal, {})
-    by_support: dict[frozenset[int], MonomialIdeal] = {}
-    for q in pieces:
-        s = q.support()
-        cur = by_support.get(s)
-        by_support[s] = q if cur is None else cur.intersect(q)
-    comps = sorted(
-        by_support.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-    )
-    # drop components containing the intersection of the others
+    groups: dict[frozenset[int], list[MonomialIdeal]] = {}
+    for q in _irreducible_components(ideal, {}):
+        groups.setdefault(q.support(), []).append(q)
+    supports = sorted(groups, key=lambda s: (len(s), sorted(s)))
+    # drop components containing the intersection of the others.  An
+    # irreducible monomial ideal contains an intersection of monomial ideals
+    # only if it contains one of them, so a component is redundant exactly
+    # when each of its irreducible pieces contains a piece of another one.
     changed = True
-    while changed and len(comps) > 1:
+    while changed and len(supports) > 1:
         changed = False
-        for k in range(len(comps)):
-            rest = MonomialIdeal.unit(ideal.ring)
-            for j, (_, q) in enumerate(comps):
-                if j != k:
-                    rest = rest.intersect(q)
-            if comps[k][1].contains_ideal(rest):
-                del comps[k]
+        for k, s in enumerate(supports):
+            others = [q for t in supports if t != s for q in groups[t]]
+            if all(any(p.contains_ideal(q) for q in others) for p in groups[s]):
+                del supports[k]
                 changed = True
                 break
-    return PrimaryDecomposition(ideal, tuple((s, q) for s, q in comps))
+    comps = []
+    for s in supports:
+        comp, *rest = groups[s]
+        for q in rest:
+            comp = comp.intersect(q)
+        comps.append((s, comp))
+    return PrimaryDecomposition(ideal, tuple(comps))
 
 
 # -- Hilbert series -----------------------------------------------------------
@@ -387,16 +385,16 @@ def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> 
     if ideal.is_zero:
         return FiltrationChain(d, tuple([ideal] * n + [unit]))
     if route == "decomposition":
+        # top-down: I^<i> = I^<i+1> cap (components of dimension i+1)
         decomp = primary_decomposition(ideal)
-        ideals = []
-        for i in range(d):
-            keep = [q for s, q in decomp.components if n - len(s) > i]
-            cur = unit
-            for q in keep:
-                cur = cur.intersect(q)
+        ideals = [unit]
+        for i in range(d - 1, -1, -1):
+            cur = ideals[-1]
+            for s, q in decomp.components:
+                if n - len(s) == i + 1:
+                    cur = cur.intersect(q)
             ideals.append(cur)
-        ideals.append(unit)
-        return FiltrationChain(d, tuple(ideals))
+        return FiltrationChain(d, tuple(reversed(ideals)))
     if route == "borel":
         if not is_strongly_stable(ideal):
             raise ValueError("borel route wants a strongly stable ideal")

@@ -1,5 +1,7 @@
-"""Exact arithmetic core: monomials, polynomials over Q, and the univariate
-machinery (Hilbert series, bivariate layer polynomials) everything else sits on.
+"""Exact arithmetic core: monomials, polynomials over Q, the one revlex key,
+exact (Bareiss) elimination, the change-of-coordinates kernel, and the
+univariate machinery (Hilbert series, bivariate layer polynomials) everything
+else sits on.
 
 Monomial order is graded reverse lexicographic with x1 > x2 > ... > xn:
 higher total degree wins, ties go to the monomial whose last nonzero entry
@@ -12,7 +14,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Sequence, TypeVar
+
+Exps = tuple[int, ...]
+C = TypeVar("C", int, Fraction)
+
+
+def require_int(x, what: str = "value") -> int:
+    """x itself when it is an int; floats, bools and strings raise ValueError
+    instead of being coerced."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -22,7 +36,7 @@ class RingSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if require_int(self.n, "variable count") < 1:
             raise ValueError("ring needs at least one variable")
 
     def variable(self, i: int) -> "Monomial":
@@ -37,16 +51,20 @@ class RingSpec:
         return Monomial((0,) * self.n)
 
     def monomial(self, exponents: Sequence[int]) -> "Monomial":
-        m = Monomial(tuple(int(e) for e in exponents))
+        m = Monomial(tuple(require_int(e, "exponent") for e in exponents))
         if len(m.exponents) != self.n:
             raise ValueError("exponent vector length does not match ring")
         return m
 
 
+def exponent_revlex_key(e: Exps) -> tuple:
+    """Sort key on an exponent tuple: ascending in graded revlex."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
 def revlex_key(m: "Monomial") -> tuple:
     """Sort key: ascending in graded revlex."""
-    e = m.exponents
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return exponent_revlex_key(m.exponents)
 
 
 def revlex_compare(a: "Monomial", b: "Monomial") -> int:
@@ -396,25 +414,115 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
     return Polynomial(ring, acc)
 
 
-def _det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+# -- exact elimination and change of coordinates ----------------------------------
+
+
+def _rank_int(rows: list[list[int]]) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination with column pivoting."""
+    a = [r[:] for r in rows if any(r)]
+    if not a:
+        return 0
+    ncols = len(a[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        for r in range(rank + 1, len(a)):
+            arc = a[r][col]
+            row = a[r]
+            if arc:
+                for c2 in range(col + 1, ncols):
+                    row[c2] = (row[c2] * top[col] - arc * top[c2]) // prev
+                row[col] = 0
+            else:
+                # rows missing the pivot column still pick up the Bareiss
+                # scaling, otherwise later exact divisions truncate
+                for c2 in range(col + 1, ncols):
+                    row[c2] = row[c2] * top[col] // prev
+        prev = top[col]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    a = [[x % p for x in r] for r in rows]
+    a = [r for r in a if any(r)]
+    if not a:
+        return 0
+    ncols = len(a[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        top = [(x * inv) % p for x in a[rank]]
+        a[rank] = top
+        for r in range(rank + 1, len(a)):
+            f = a[r][col]
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], top)]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def _poly_mul(a: Mapping[Exps, C], b: Mapping[Exps, C]) -> dict[Exps, C]:
+    out: dict[Exps, C] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(m1, m2))
+            v = out.get(key, 0) + c1 * c2
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def _substitute(p: Mapping[Exps, C], matrix: Sequence[Sequence[C]]) -> dict[Exps, C]:
+    """Substitute xi -> sum_j matrix[i][j] * xj in an exponent-tuple polynomial
+    with int or Fraction coefficients; integer input stays integral."""
+    n = len(matrix)
+    one = (0,) * n
+    images = [
+        {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row) if c}
+        for row in matrix
+    ]
+    # cache linear-form powers; generators reuse the same images repeatedly
+    powers: list[dict[int, dict[Exps, C]]] = [{0: {one: 1}} for _ in range(n)]
+
+    def power(i: int, e: int) -> dict[Exps, C]:
+        cache = powers[i]
+        if e not in cache:
+            best = max(k for k in cache if k <= e)
+            acc = cache[best]
+            for k in range(best + 1, e + 1):
+                acc = _poly_mul(acc, images[i])
+                cache[k] = acc
+        return cache[e]
+
+    result: dict[Exps, C] = {}
+    for m, c in p.items():
+        piece = {one: c}
+        for i, e in enumerate(m):
+            if e:
+                piece = _poly_mul(piece, power(i, e))
+        for key, v in piece.items():
+            s = result.get(key, 0) + v
+            if s:
+                result[key] = s
+            else:
+                del result[key]
+    return result
 
 
 def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]]) -> Polynomial:
@@ -426,36 +534,15 @@ def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]
     n = f.ring.n
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("change-of-coordinates matrix has wrong shape")
-    if _det(matrix) == 0:
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * den) for x in row])
+    if _rank_int(scaled) != n:
         raise ValueError("change-of-coordinates matrix is singular")
-    images = [
-        Polynomial(
-            f.ring,
-            {f.ring.variable(j + 1): Fraction(matrix[i][j]) for j in range(n)},
-        )
-        for i in range(n)
-    ]
-    # cache linear-form powers; generators reuse the same images repeatedly
-    powers: list[dict[int, Polynomial]] = [{0: Polynomial.one(f.ring)} for _ in range(n)]
-
-    def power(i: int, e: int) -> Polynomial:
-        cache = powers[i]
-        if e not in cache:
-            best = max(k for k in cache if k <= e)
-            acc = cache[best]
-            for k in range(best + 1, e + 1):
-                acc = acc * images[i]
-                cache[k] = acc
-        return cache[e]
-
-    result = Polynomial.zero(f.ring)
-    for m, c in f._terms.items():
-        piece = Polynomial.one(f.ring).scale(c)
-        for i, e in enumerate(m.exponents):
-            if e:
-                piece = piece * power(i, e)
-        result = result + piece
-    return result
+    moved = _substitute({m.exponents: c for m, c in f._terms.items()}, rows)
+    return Polynomial(f.ring, {Monomial(e): c for e, c in moved.items()})
 
 
 class UniPoly:
@@ -800,8 +887,3 @@ class BWPolynomial:
     @classmethod
     def from_json(cls, data: Mapping) -> "BWPolynomial":
         return cls({(int(t["i"]), int(t["j"])): int(t["c"]) for t in data["terms"]})
-
-
-def bw_specialize(p: BWPolynomial) -> HilbertSeries:
-    """w := 1/(1-t); recovers the Hilbert series of the underlying algebra."""
-    return p.specialize()

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal
-from .ring import Monomial, RingSpec, UniPoly
+from .ring import Monomial, RingSpec, UniPoly, _rank_int, _rank_mod_p, require_int
 
 Face = frozenset[int]
 
@@ -94,7 +94,10 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SimplicialComplex":
-        return cls(int(data["n"]), [[int(v) for v in f] for f in data["facets"]])
+        return cls(
+            require_int(data["n"], "n"),
+            [[require_int(v, "vertex") for v in f] for f in data["facets"]],
+        )
 
 
 def face_degree(cpx: SimplicialComplex, sigma: Iterable[int]) -> int:
@@ -288,64 +291,6 @@ def induced_subcomplex(cpx: SimplicialComplex, w: Iterable[int]) -> SimplicialCo
 
 
 # -- exact homology -------------------------------------------------------------
-
-
-def _rank_int(rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination with column pivoting."""
-    a = [r[:] for r in rows if any(r)]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top = a[rank]
-        for r in range(rank + 1, len(a)):
-            arc = a[r][col]
-            row = a[r]
-            if arc:
-                for c2 in range(col + 1, ncols):
-                    row[c2] = (row[c2] * top[col] - arc * top[c2]) // prev
-                row[col] = 0
-            else:
-                # rows missing the pivot column still pick up the Bareiss
-                # scaling, otherwise later exact divisions truncate
-                for c2 in range(col + 1, ncols):
-                    row[c2] = row[c2] * top[col] // prev
-        prev = top[col]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    a = [[x % p for x in r] for r in rows]
-    a = [r for r in a if any(r)]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        top = [(x * inv) % p for x in a[rank]]
-        a[rank] = top
-        for r in range(rank + 1, len(a)):
-            f = a[r][col]
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], top)]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
 
 
 def _matrix_rank(rows: list[list[int]], p: int | None) -> int:

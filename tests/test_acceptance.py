@@ -18,7 +18,6 @@ from bwkit import (
     betti_eliahou_kervaire,
     bw_from_complex,
     bw_polynomial,
-    bw_specialize,
     dimension_filtration,
     extremal_from_bw,
     gin,
@@ -117,8 +116,8 @@ def test_c02_bw_pair_and_specialization():
         assert bw_gin == BW_GIN
 
         target = HilbertSeries(UniPoly((1, 3, 0, -1)), 3)
-        assert bw_specialize(bw_input) == target
-        assert bw_specialize(bw_gin) == target
+        assert bw_input.specialize() == target
+        assert bw_gin.specialize() == target
 
         counts_input = standard_monomial_counts(WORKED_IDEAL, 8)
         counts_gin = standard_monomial_counts(WORKED_GIN, 8)

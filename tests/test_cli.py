@@ -204,13 +204,51 @@ def test_betti_payloads(capsys, complex_path, tmp_path):
     assert main(["betti", "--input", str(mixed)]) == 2
 
 
-def test_field_option(capsys, complex_path):
+def test_field_option(capsys, complex_path, ideal_path):
     data = run_json(capsys, ["betti", "--input", complex_path, "--field", "p:7"])
     assert BettiTable.from_json(data).totals() == [1, 7, 11, 6, 1]
     assert main(["betti", "--input", complex_path, "--field", "p:6"]) == 2
     capsys.readouterr()
     assert main(["betti", "--input", complex_path, "--field", "zz"]) == 2
     capsys.readouterr()
+    # a huge characteristic is refused up front instead of trial-divided
+    big = ["local-cohomology", "--input", complex_path, "--field", "p:1000000000000000003"]
+    assert main(big) == 2
+    assert "2^31" in capsys.readouterr().err
+    # verbs that compute no homology do not take --field at all
+    for verb in ("hilbert", "scm", "gin", "bw", "filtration"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--input", ideal_path, "--field", "nonsense"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [
+        ("hilbert", {"vars": 2, "gens": [[1.7, 0], [0, 2]]}),
+        ("hilbert", {"vars": 2, "gens": [[True, 0], [0, 2]]}),
+        ("hilbert", {"vars": 2, "gens": [["1", 0], [0, 2]]}),
+        ("hilbert", {"vars": 2.0, "gens": [[1, 0], [0, 2]]}),
+        ("hilbert", {"vars": True, "gens": [[1]]}),
+        ("hilbert", {"vars": 2, "gens": [[1, 0, 0]]}),
+        ("h-triangle", {"n": 3, "facets": [[1, 2.0]]}),
+        ("h-triangle", {"n": 3, "facets": [[1, True]]}),
+        ("h-triangle", {"n": "3", "facets": [[1, 2]]}),
+    ],
+)
+def test_non_integer_input_rejected(capsys, tmp_path, verb, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main([verb, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_library_rejects_non_integer_exponents():
+    with pytest.raises(ValueError, match="integer"):
+        MonomialIdeal.from_json({"vars": 2, "gens": [[1.7, 0], [0, 2]]})
 
 
 def test_text_format(capsys, ideal_path):

@@ -16,7 +16,6 @@ from bwkit import (
     betti_eliahou_kervaire,
     bw_from_complex,
     bw_polynomial,
-    bw_specialize,
     extremal_from_bw,
     gin,
     h_polynomial,
@@ -91,7 +90,7 @@ def test_layers_add_up_to_hilbert_series():
         i = random_monomial_ideal(rng, max_vars=6, max_degree=4, max_gens=6)
         if not i.is_proper:
             continue
-        assert bw_specialize(bw_polynomial(i)) == hilbert_numerator(i)
+        assert bw_polynomial(i).specialize() == hilbert_numerator(i)
 
 
 # -- the two-variable polynomial -----------------------------------------------
@@ -105,7 +104,7 @@ def test_bw_golden_worked_pair():
     assert bw_g == BWPolynomial({(2, 1): 1, (2, 2): 1, (3, 0): 1, (3, 1): 2})
     assert bw_g == bw_polynomial(worked_example_gin(), route="decomposition")
 
-    assert bw_specialize(bw_i) == bw_specialize(bw_g)
+    assert bw_i.specialize() == bw_g.specialize()
 
 
 def test_bw_trivial_inputs():

@@ -1,6 +1,7 @@
 """Monomial ideal arithmetic, primary decomposition, Hilbert series, dimension
 filtrations, and Eliahou-Kervaire Betti numbers."""
 
+import itertools
 import random
 
 import pytest
@@ -151,6 +152,13 @@ def test_decomposition_random_intersection():
         assert decomp.intersection() == i
         for s, q in decomp.components:
             assert q.support() == s
+        # irredundant, checked by intersecting the other components
+        for k, (_, q) in enumerate(decomp.components):
+            rest = MonomialIdeal.unit(i.ring)
+            for j, (_, other) in enumerate(decomp.components):
+                if j != k:
+                    rest = rest.intersect(other)
+            assert not q.contains_ideal(rest)
 
 
 def test_decomposition_rejects_trivial():
@@ -249,6 +257,24 @@ def test_chain_is_increasing():
         chain = dimension_filtration(i)
         for a, b in zip(chain.ideals, chain.ideals[1:]):
             assert b.contains_ideal(a)
+
+
+def test_chain_matches_colon_dimension():
+    """m lies in I^<i> exactly when dim R/(I : m) <= i.  Every generator of
+    I^<i> divides the lcm L of the generators of I, so checking each monomial
+    of the box [0, L] pins the whole chain down."""
+    rng = random.Random(23)
+    for _ in range(60):
+        i = random_monomial_ideal(rng, max_vars=4, max_degree=4, max_gens=5)
+        if not i.is_proper or i.is_zero:
+            continue
+        chain = dimension_filtration(i)
+        top = [max(g.exponents[k] for g in i.gens) for k in range(i.ring.n)]
+        for e in itertools.product(*(range(t + 1) for t in top)):
+            m = Monomial(e)
+            dim = krull_dimension(i.colon(m))
+            for level, q in enumerate(chain.ideals):
+                assert q.contains(m) == (dim <= level), (i, m, level)
 
 
 def test_chain_json_roundtrip():

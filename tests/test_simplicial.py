@@ -38,7 +38,7 @@ from bwkit import (
     stanley_reisner_ideal,
     symmetric_shift,
 )
-from bwkit.simplicial import _rank_int
+from bwkit.ring import _rank_int
 from corpus import random_monomial_ideal
 from oracles import fraction_rank
 
