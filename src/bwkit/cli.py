@@ -289,13 +289,6 @@ _HELP = {
 }
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("BWKIT_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bwkit",
@@ -305,7 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, handler in _HANDLERS.items():
         p = sub.add_parser(verb, help=_HELP[verb])
         p.add_argument("--input", required=True, help='JSON input path, or "-" for stdin')
-        p.add_argument("--seed", type=int, default=_default_seed(), help="randomness seed (default: BWKIT_SEED or 0)")
+        # argparse runs a string default through type= only when --seed is
+        # absent, so a non-integer BWKIT_SEED exits 2 exactly when it is used
+        p.add_argument("--seed", type=int, default=os.environ.get("BWKIT_SEED", "0"),
+                       help="randomness seed (default: BWKIT_SEED or 0)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if verb in ("betti", "local-cohomology"):
             p.add_argument("--field", default="q", help='homology coefficients: "q" or "p:<prime>"')

@@ -1,16 +1,29 @@
-"""Buchberger's algorithm over Q in graded revlex, reduced Groebner bases,
-initial ideals, and certified generic initial ideals.
+"""Buchberger's algorithm in graded revlex, reduced Groebner bases, initial
+ideals, and certified generic initial ideals.
 
-The engine works fraction-free: polynomials are primitive integer coefficient
-dicts keyed by exponent tuples, reduction is pseudo-reduction (scale by the
-divisor's leading coefficient, subtract, strip content at the end).  Monic
-rational polynomials appear only at the public boundary.
+One pair loop (`_buchberger`: pairs by ascending lcm degree, coprime-lead and
+chain criteria) drives two engines that differ only in their reduction.  The
+exact engine over Q works fraction-free: polynomials are primitive integer
+coefficient dicts keyed by exponent tuples, reduction is pseudo-reduction
+(scale by the divisor's leading coefficient, subtract, strip content at the
+end), and monic rational polynomials appear only at the public boundary.  It
+serves `reduced_groebner_basis`, `initial_ideal` and the Hilbert target of
+gin.  The modular engine keeps monic basis elements with coefficients mod a
+word-size prime p and yields leading monomials only.
 
 gin(I) draws a dense square integer matrix with entries uniform in [-B, B]
-(B = 10^4 to start) from a seeded RNG, transforms the generators, and takes
-the initial ideal.  Two independent draws must agree and the result must be
-strongly stable; otherwise B doubles, up to five rounds, after which
-NotCertified is raised.  Same seed, same answer, always.
+(B = 10^4 to start) from a seeded RNG, moves the generators, reduces them mod
+p and runs the modular engine.  Trial k uses the k-th of ten fixed primes
+below 2^31 (2^31-1, 2^31-19, ...), so the matrix stream depends on the seed
+alone.  Each trial stops at the first lcm-degree transition where its leads
+reach the Hilbert series of I (of in(I) over Q for polynomial input), and
+skips a degree's pairs once the leads' Hilbert function matches in that
+degree.  Both are exact: the leads lie in the initial ideal of the moved
+ideal mod p, whose Hilbert function is at least the target's in every
+degree.  A round certifies when its two trials agree, the result is
+strongly stable and its Hilbert series equals the target; a matrix singular
+mod its prime fails the round.  Otherwise B doubles, up to five rounds,
+after which NotCertified is raised.  Same seed, same answer, always.
 """
 
 from __future__ import annotations
@@ -19,17 +32,22 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from operator import add, le, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .monomial import MonomialIdeal, is_strongly_stable
+from .monomial import MonomialIdeal, hilbert_numerator, is_strongly_stable
 from .ring import (
+    HilbertSeries,
     Monomial,
     Polynomial,
     RingSpec,
     _rank_int,
+    _rank_mod_p,
     _substitute,
     exponent_revlex_key,
+    require_int,
 )
 
 __all__ = [
@@ -68,7 +86,7 @@ def _mask(m: Mono) -> int:
 
 
 def _divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _primitive(p: IntPoly) -> IntPoly:
@@ -89,12 +107,15 @@ def _primitive(p: IntPoly) -> IntPoly:
 
 
 class _Basis:
-    """Basis element: leading monomial/coefficient, tail terms, support mask."""
+    """Basis element: leading monomial/coefficient, tail terms, support mask.
+
+    Built from a reduction's output, whose terms come revlex-descending, so
+    the first term is the lead."""
 
     __slots__ = ("lm", "lc", "tail", "mask", "deg")
 
     def __init__(self, poly: IntPoly):
-        self.lm = max(poly, key=exponent_revlex_key)
+        self.lm = next(iter(poly))
         self.lc = poly[self.lm]
         self.tail = tuple((m, c) for m, c in poly.items() if m != self.lm)
         self.mask = _mask(self.lm)
@@ -138,9 +159,9 @@ def _reduce_full(p: IntPoly, basis: Sequence[_Basis]) -> IntPoly:
                         work[k] *= a
                     for k in rem:
                         rem[k] *= a
-                q = tuple(x - y for x, y in zip(m, g.lm))
+                q = tuple(map(sub, m, g.lm))
                 for mt, ct in g.tail:
-                    key = tuple(x + y for x, y in zip(mt, q))
+                    key = tuple(map(add, mt, q))
                     prev = work.get(key)
                     if prev is None:
                         work[key] = -b * ct
@@ -157,19 +178,59 @@ def _reduce_full(p: IntPoly, basis: Sequence[_Basis]) -> IntPoly:
     return _primitive(rem)
 
 
+def _reduce_mod(p: IntPoly, basis: Sequence[_Basis], prime: int) -> IntPoly:
+    """Monic full remainder of homogeneous p mod prime, modulo a basis of
+    monic elements with coefficients in [0, prime)."""
+    work = {m: c % prime for m, c in p.items() if c % prime}
+    # one degree throughout, so reversed exponents order the heap by revlex
+    heap = [m[::-1] for m in work]
+    heapq.heapify(heap)
+    rem: IntPoly = {}
+    while heap:
+        m = heapq.heappop(heap)[::-1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        mmask = _mask(m)
+        for g in basis:
+            if not g.mask & ~mmask and _divides(g.lm, m):
+                break
+        else:
+            rem[m] = c
+            continue
+        q = tuple(map(sub, m, g.lm))
+        for mt, ct in g.tail:
+            key = tuple(map(add, mt, q))
+            prev = work.get(key)
+            if prev is None:
+                work[key] = -c * ct % prime
+                heapq.heappush(heap, key[::-1])
+            else:
+                v = (prev - c * ct) % prime
+                if v:
+                    work[key] = v
+                else:
+                    del work[key]
+    if rem:
+        # terms arrive revlex-descending, so the first one is the lead
+        inv = pow(next(iter(rem.values())), -1, prime)
+        rem = {m: c * inv % prime for m, c in rem.items()}
+    return rem
+
+
 def _spair(f: _Basis, g: _Basis) -> IntPoly:
-    lcm = tuple(max(x, y) for x, y in zip(f.lm, g.lm))
-    qf = tuple(x - y for x, y in zip(lcm, f.lm))
-    qg = tuple(x - y for x, y in zip(lcm, g.lm))
+    lcm = tuple(map(max, f.lm, g.lm))
+    qf = tuple(map(sub, lcm, f.lm))
+    qg = tuple(map(sub, lcm, g.lm))
     d = gcd(f.lc, g.lc)
     a = g.lc // d
     b = f.lc // d
     out: IntPoly = {}
     for mt, ct in f.tail:
-        key = tuple(x + y for x, y in zip(mt, qf))
+        key = tuple(map(add, mt, qf))
         out[key] = out.get(key, 0) + a * ct
     for mt, ct in g.tail:
-        key = tuple(x + y for x, y in zip(mt, qg))
+        key = tuple(map(add, mt, qg))
         v = out.get(key, 0) - b * ct
         if v:
             out[key] = v
@@ -178,9 +239,18 @@ def _spair(f: _Basis, g: _Basis) -> IntPoly:
     return {m: c for m, c in out.items() if c}
 
 
-def _buchberger(inputs: list[IntPoly]) -> list[_Basis]:
+def _buchberger(
+    inputs: list[IntPoly],
+    reduce: Callable[[IntPoly, Sequence[_Basis]], IntPoly],
+    target: HilbertSeries | None = None,
+) -> list[_Basis]:
     """Buchberger with the coprime-lead and chain criteria, pairs processed in
-    ascending lcm-degree order."""
+    ascending lcm-degree order; `reduce` is the engine's full reduction.
+
+    With the target Hilbert series of the ideal, the loop checks the leads at
+    each lcm-degree transition: it stops once their series equals the target,
+    and skips the degree's pairs when the Hilbert functions agree in it.  The
+    leads then generate the initial ideal only if the target is right."""
     G: list[_Basis] = []
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[int, int, int]] = []
@@ -189,25 +259,35 @@ def _buchberger(inputs: list[IntPoly]) -> list[_Basis]:
         t = len(G)
         g = _Basis(poly)
         for s, other in enumerate(G):
-            lcm_deg = sum(max(x, y) for x, y in zip(other.lm, g.lm))
+            lcm_deg = sum(map(max, other.lm, g.lm))
             pending.add((s, t))
             heapq.heappush(heap, (lcm_deg, s, t))
         G.append(g)
 
-    for p in sorted(
-        inputs, key=lambda q: exponent_revlex_key(max(q, key=exponent_revlex_key))
-    ):
-        r = _reduce_full(p, G)
+    # ascending by lead; _negkey reverses revlex, so the lead minimizes it
+    for p in sorted(inputs, key=lambda q: min(map(_negkey, q)), reverse=True):
+        r = reduce(p, G)
         if r:
             add(r)
 
+    degree, prune = -1, False
     while heap:
-        _, i, j = heapq.heappop(heap)
+        lcm_deg, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
+        if target is not None and lcm_deg != degree:
+            # new pairs have a larger lcm degree than the pair that made
+            # them, so the degrees popped only grow
+            degree = lcm_deg
+            series = hilbert_numerator(_leads(G, len(G[0].lm)))
+            if series == target:
+                break
+            prune = series.expand(degree)[degree] == target.expand(degree)[degree]
+        if prune:
+            continue
         fi, fj = G[i], G[j]
-        lcm = tuple(max(x, y) for x, y in zip(fi.lm, fj.lm))
+        lcm = tuple(map(max, fi.lm, fj.lm))
         # coprime leads: S-pair reduces to zero
         if sum(lcm) == fi.deg + fj.deg:
             continue
@@ -224,7 +304,7 @@ def _buchberger(inputs: list[IntPoly]) -> list[_Basis]:
                     break
         if skip:
             continue
-        r = _reduce_full(_spair(fi, fj), G)
+        r = reduce(_spair(fi, fj), G)
         if r:
             add(r)
     return G
@@ -303,7 +383,7 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
             raise ValueError("cannot infer the ring from an empty generator list")
         return GroebnerBasis(gens[0].ring, ())
     ring, polys = _check_inputs(kept)
-    raw = _buchberger([_to_int_poly(f) for f in polys])
+    raw = _buchberger([_to_int_poly(f) for f in polys], _reduce_full)
     reduced = _autoreduce(raw)
     elements = [_to_polynomial(ring, p) for p in reduced]
     elements.sort(key=lambda f: f.leading_monomial(), reverse=True)
@@ -358,15 +438,21 @@ class GinResult:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GinResult":
+        certified = data["borel_certified"]
+        if type(certified) is not bool:
+            raise ValueError(f"borel_certified must be a boolean, got {certified!r}")
         return cls(
             MonomialIdeal.from_json(data),
-            int(data["seed"]),
-            int(data["trials"]),
-            bool(data["borel_certified"]),
+            require_int(data["seed"], "seed"),
+            require_int(data["trials"], "trials"),
+            certified,
         )
 
 
 _GIN_MEMO: dict[tuple, GinResult] = {}
+
+# trial k of a gin call runs mod _PRIMES[k]: the ten largest primes below 2^31
+_PRIMES = tuple(2**31 - d for d in (1, 19, 61, 69, 85, 99, 105, 151, 159, 171))
 
 
 def _draw_matrix(rng: random.Random, n: int, bound: int) -> list[list[int]]:
@@ -376,12 +462,39 @@ def _draw_matrix(rng: random.Random, n: int, bound: int) -> list[list[int]]:
             return m
 
 
-def _gin_trial(int_gens: list[IntPoly], n: int, rng: random.Random, bound: int) -> MonomialIdeal:
-    matrix = _draw_matrix(rng, n, bound)
-    moved = [_primitive(_substitute(p, matrix)) for p in int_gens]
-    basis = _autoreduce(_buchberger(moved))
-    ring = RingSpec(n)
-    return MonomialIdeal(ring, (Monomial(max(p, key=exponent_revlex_key)) for p in basis))
+def _leads(G: Sequence[_Basis], n: int) -> MonomialIdeal:
+    return MonomialIdeal(RingSpec(n), (Monomial(g.lm) for g in G))
+
+
+def _gin_target(
+    gens: Sequence[Polynomial] | MonomialIdeal, int_gens: list[IntPoly], n: int
+) -> HilbertSeries:
+    """Hilbert series every trial must reach: that of the input itself for a
+    monomial ideal, that of its initial ideal over Q otherwise."""
+    if isinstance(gens, MonomialIdeal):
+        return hilbert_numerator(gens)
+    return hilbert_numerator(_leads(_buchberger(int_gens, _reduce_full), n))
+
+
+def _gin_trial(
+    int_gens: list[IntPoly],
+    matrix: list[list[int]],
+    prime: int,
+    target: HilbertSeries | None,
+) -> MonomialIdeal | None:
+    """Leading ideal over F_prime of the generators moved by the matrix, or
+    None when the matrix is singular mod prime.  A target Hilbert series
+    lets Buchberger stop early; None runs it to the end."""
+    n = len(matrix)
+    if _rank_mod_p(matrix, prime) != n:
+        return None
+    moved = []
+    for p in _substitute(int_gens, matrix):
+        q = {m: c % prime for m, c in p.items() if c % prime}
+        if q:
+            moved.append(q)
+    reduce = partial(_reduce_mod, prime=prime)
+    return _leads(_buchberger(moved, reduce, target), n)
 
 
 def gin(
@@ -389,10 +502,11 @@ def gin(
 ) -> GinResult:
     """Reverse-lexicographic generic initial ideal with certification.
 
-    Two independent random changes of coordinates must produce the same
-    initial ideal, and that ideal must be strongly stable; otherwise the
-    entry bound doubles (five rounds max) before NotCertified is raised.
-    Deterministic in (generators, seed).
+    Two random changes of coordinates, run mod two distinct primes, must
+    produce the same initial ideal, that ideal must be strongly stable, and
+    its Hilbert series must equal the input's; otherwise the entry bound
+    doubles (five rounds max) before NotCertified is raised.  `trials` counts
+    the trials of every round run.  Deterministic in (generators, seed).
     """
     if isinstance(gens, MonomialIdeal):
         ring = gens.ring
@@ -417,16 +531,26 @@ def gin(
         return hit
 
     int_gens = [_to_int_poly(f) for f in polys]
+    target = _gin_target(gens, int_gens, ring.n)
     rng = random.Random(seed)
     bound = 10**4
-    for _ in range(5):
-        first = _gin_trial(int_gens, ring.n, rng, bound)
-        second = _gin_trial(int_gens, ring.n, rng, bound)
-        if first == second and is_strongly_stable(first):
-            result = GinResult(first, seed, 2, True)
-            _GIN_MEMO[key] = result
-            return result
+    for r in range(5):
+        # both matrices are drawn whatever the first trial gives, so the
+        # stream a round consumes depends on the seed alone
+        matrices = [_draw_matrix(rng, ring.n, bound) for _ in range(2)]
+        first = _gin_trial(int_gens, matrices[0], _PRIMES[2 * r], target)
+        if first is not None:
+            second = _gin_trial(int_gens, matrices[1], _PRIMES[2 * r + 1], target)
+            if (
+                first == second
+                and is_strongly_stable(first)
+                and hilbert_numerator(first) == target
+            ):
+                result = GinResult(first, seed, 2 * (r + 1), True)
+                _GIN_MEMO[key] = result
+                return result
         bound *= 2
     raise NotCertified(
-        f"gin trials disagreed or were unstable after 5 rounds (seed {seed})"
+        f"gin trials disagreed, were unstable or missed the Hilbert series "
+        f"after 5 rounds (seed {seed})"
     )

@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
-from .ring import Exps, HilbertSeries, Monomial, RingSpec, UniPoly, revlex_key
+from .ring import Exps, HilbertSeries, Monomial, RingSpec, UniPoly, require_int, revlex_key
 
 
 def _minimalize(exps: Iterable[Exps]) -> frozenset[Exps]:
@@ -26,7 +27,7 @@ def _minimalize(exps: Iterable[Exps]) -> frozenset[Exps]:
     items = sorted(set(exps), key=lambda e: (sum(e), e))
     kept: list[Exps] = []
     for e in items:
-        if not any(all(a <= b for a, b in zip(k, e)) for k in kept):
+        if not any(all(map(le, k, e)) for k in kept):
             kept.append(e)
     return frozenset(kept)
 
@@ -310,9 +311,14 @@ def _hilbert_numerator_rec(gens: tuple[Exps, ...], memo: dict) -> UniPoly:
         best_v = counts.index(best_count)
     if best_count <= 1:
         # supports pairwise disjoint: K = prod (1 - t^deg)
-        out = UniPoly.one()
+        coeffs = [1]
         for e in gens:
-            out = out * (UniPoly.one() - UniPoly.t_power(sum(e)))
+            k = sum(e)
+            times = coeffs + [0] * k
+            for i, c in enumerate(coeffs):
+                times[i + k] -= c
+            coeffs = times
+        out = UniPoly(coeffs)
     else:
         # pivot on the most shared variable: K(I) = K(I + <x>) + t * K(I : x)
         plus: list[Exps] = [tuple(1 if v == best_v else 0 for v in range(n_vars))]
@@ -365,7 +371,7 @@ class FiltrationChain:
     @classmethod
     def from_json(cls, data: Mapping) -> "FiltrationChain":
         return cls(
-            int(data["d"]),
+            require_int(data["d"], "dimension"),
             tuple(MonomialIdeal.from_json(j) for j in data["ideals"]),
         )
 
@@ -431,9 +437,9 @@ class BettiTable:
     def __init__(self, entries: Mapping[tuple[int, int], int]):
         clean = {}
         for (i, j), v in entries.items():
-            v = int(v)
+            v = require_int(v, "Betti number")
             if v:
-                clean[(int(i), int(j))] = v
+                clean[(require_int(i, "homological degree"), require_int(j, "internal degree"))] = v
         object.__setattr__(self, "entries", clean)
 
     def __setattr__(self, *_):
@@ -492,7 +498,13 @@ class BettiTable:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BettiTable":
-        return cls({(int(e["i"]), int(e["j"])): int(e["value"]) for e in data["entries"]})
+        return cls(
+            {
+                (require_int(e["i"], "homological degree"), require_int(e["j"], "internal degree")):
+                    require_int(e["value"], "Betti number")
+                for e in data["entries"]
+            }
+        )
 
 
 def betti_eliahou_kervaire(ideal: MonomialIdeal) -> BettiTable:

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 Exps = tuple[int, ...]
@@ -479,7 +480,7 @@ def _poly_mul(a: Mapping[Exps, C], b: Mapping[Exps, C]) -> dict[Exps, C]:
     out: dict[Exps, C] = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(m1, m2))
+            key = tuple(map(add, m1, m2))
             v = out.get(key, 0) + c1 * c2
             if v:
                 out[key] = v
@@ -488,15 +489,16 @@ def _poly_mul(a: Mapping[Exps, C], b: Mapping[Exps, C]) -> dict[Exps, C]:
     return out
 
 
-def _substitute(p: Mapping[Exps, C], matrix: Sequence[Sequence[C]]) -> dict[Exps, C]:
-    """Substitute xi -> sum_j matrix[i][j] * xj in an exponent-tuple polynomial
-    with int or Fraction coefficients; integer input stays integral."""
+def _substitute(
+    polys: Sequence[Mapping[Exps, C]], matrix: Sequence[Sequence[C]]
+) -> list[dict[Exps, C]]:
+    """Substitute xi -> sum_j matrix[i][j] * xj in each exponent-tuple
+    polynomial with int or Fraction coefficients; integer input stays
+    integral."""
     n = len(matrix)
     one = (0,) * n
-    images = [
-        {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row) if c}
-        for row in matrix
-    ]
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    images = [{units[j]: c for j, c in enumerate(row) if c} for row in matrix]
     # cache linear-form powers; generators reuse the same images repeatedly
     powers: list[dict[int, dict[Exps, C]]] = [{0: {one: 1}} for _ in range(n)]
 
@@ -510,19 +512,22 @@ def _substitute(p: Mapping[Exps, C], matrix: Sequence[Sequence[C]]) -> dict[Exps
                 cache[k] = acc
         return cache[e]
 
-    result: dict[Exps, C] = {}
-    for m, c in p.items():
-        piece = {one: c}
-        for i, e in enumerate(m):
-            if e:
-                piece = _poly_mul(piece, power(i, e))
-        for key, v in piece.items():
-            s = result.get(key, 0) + v
-            if s:
-                result[key] = s
-            else:
-                del result[key]
-    return result
+    out = []
+    for p in polys:
+        result: dict[Exps, C] = {}
+        for m, c in p.items():
+            piece = {one: c}
+            for i, e in enumerate(m):
+                if e:
+                    piece = _poly_mul(piece, power(i, e))
+            for key, v in piece.items():
+                s = result.get(key, 0) + v
+                if s:
+                    result[key] = s
+                else:
+                    del result[key]
+        out.append(result)
+    return out
 
 
 def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]]) -> Polynomial:
@@ -541,7 +546,7 @@ def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]
         scaled.append([int(x * den) for x in row])
     if _rank_int(scaled) != n:
         raise ValueError("change-of-coordinates matrix is singular")
-    moved = _substitute({m.exponents: c for m, c in f._terms.items()}, rows)
+    (moved,) = _substitute([{m.exponents: c for m, c in f._terms.items()}], rows)
     return Polynomial(f.ring, {Monomial(e): c for e, c in moved.items()})
 
 
@@ -781,7 +786,10 @@ class HilbertSeries:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "HilbertSeries":
-        return cls(UniPoly(int(c) for c in data["numerator"]), int(data["denom_power"]))
+        return cls(
+            UniPoly(require_int(c, "numerator coefficient") for c in data["numerator"]),
+            require_int(data["denom_power"], "denominator power"),
+        )
 
 
 class BWPolynomial:
@@ -797,9 +805,9 @@ class BWPolynomial:
     def __init__(self, coeffs: Mapping[tuple[int, int], int]):
         clean: dict[tuple[int, int], int] = {}
         for (i, j), c in coeffs.items():
-            if i < 0 or j < 0:
+            if require_int(i, "layer index") < 0 or require_int(j, "degree") < 0:
                 raise ValueError("layer and degree indices must be non-negative")
-            c = int(c)
+            c = require_int(c, "coefficient")
             if c:
                 clean[(i, j)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -886,4 +894,10 @@ class BWPolynomial:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BWPolynomial":
-        return cls({(int(t["i"]), int(t["j"])): int(t["c"]) for t in data["terms"]})
+        return cls(
+            {
+                (require_int(t["i"], "layer index"), require_int(t["j"], "degree")):
+                    require_int(t["c"], "coefficient")
+                for t in data["terms"]
+            }
+        )

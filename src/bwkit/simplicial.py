@@ -34,13 +34,14 @@ class SimplicialComplex:
     __slots__ = ("n", "facets")
 
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
-        if n < 1:
+        if require_int(n, "vertex count") < 1:
             raise ValueError("ground set needs at least one vertex")
-        cand = {frozenset(f) for f in faces}
+        # check before hashing: True == 1 would merge into {1} unseen
+        cand = {frozenset(require_int(v, "vertex") for v in f) for f in faces}
         if not cand:
             raise ValueError("void complex: supply at least the empty face")
         for f in cand:
-            if not all(isinstance(v, int) and 1 <= v <= n for v in f):
+            if not all(1 <= v <= n for v in f):
                 raise ValueError(f"face {sorted(f)} not inside 1..{n}")
         maximal = {f for f in cand if not any(f < g for g in cand)}
         object.__setattr__(self, "n", n)
@@ -94,10 +95,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SimplicialComplex":
-        return cls(
-            require_int(data["n"], "n"),
-            [[require_int(v, "vertex") for v in f] for f in data["facets"]],
-        )
+        return cls(data["n"], data["facets"])
 
 
 def face_degree(cpx: SimplicialComplex, sigma: Iterable[int]) -> int:
@@ -117,9 +115,9 @@ class _Triangle:
     def __init__(self, d: int, entries: Mapping[tuple[int, int], int]):
         clean = {}
         for (i, j), v in entries.items():
-            if not 0 <= j <= i <= d:
+            if not 0 <= require_int(j, "cardinality") <= require_int(i, "degree") <= d:
                 raise ValueError(f"triangle index ({i},{j}) outside 0<=j<=i<={d}")
-            v = int(v)
+            v = require_int(v, "entry")
             if v:
                 clean[(i, j)] = v
         object.__setattr__(self, "d", d)
@@ -166,8 +164,12 @@ class _Triangle:
     @classmethod
     def from_json(cls, data: Mapping):
         return cls(
-            int(data["d"]),
-            {(int(e["i"]), int(e["j"])): int(e["value"]) for e in data["entries"]},
+            require_int(data["d"], "dimension"),
+            {
+                (require_int(e["i"], "degree"), require_int(e["j"], "cardinality")):
+                    require_int(e["value"], "entry")
+                for e in data["entries"]
+            },
         )
 
 
@@ -366,9 +368,9 @@ class LocalCohomologyTable:
     def __init__(self, entries: Mapping[tuple[int, int], int]):
         clean = {}
         for (i, c), v in entries.items():
-            v = int(v)
+            v = require_int(v, "entry")
             if v:
-                clean[(int(i), int(c))] = v
+                clean[(require_int(i, "cohomological degree"), require_int(c, "face size"))] = v
         object.__setattr__(self, "entries", clean)
 
     def __setattr__(self, *_):
@@ -431,7 +433,13 @@ class LocalCohomologyTable:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LocalCohomologyTable":
-        return cls({(int(e["i"]), int(e["c"])): int(e["value"]) for e in data["entries"]})
+        return cls(
+            {
+                (require_int(e["i"], "cohomological degree"), require_int(e["c"], "face size")):
+                    require_int(e["value"], "entry")
+                for e in data["entries"]
+            }
+        )
 
 
 def local_cohomology_hochster(

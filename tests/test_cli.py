@@ -16,6 +16,8 @@ from bwkit import (
     BettiTable,
     BWPolynomial,
     FiltrationChain,
+    GinResult,
+    HilbertSeries,
     HTriangle,
     LocalCohomologyTable,
     MonomialIdeal,
@@ -251,6 +253,45 @@ def test_library_rejects_non_integer_exponents():
         MonomialIdeal.from_json({"vars": 2, "gens": [[1.7, 0], [0, 2]]})
 
 
+@pytest.mark.parametrize(
+    "cls, payload",
+    [
+        (BWPolynomial, {"terms": [{"i": 1.7, "j": 0, "c": 2}]}),
+        (BWPolynomial, {"terms": [{"i": 1, "j": 0, "c": 2.5}]}),
+        (HilbertSeries, {"numerator": [1, True], "denom_power": 2}),
+        (HilbertSeries, {"numerator": [1, -1], "denom_power": "2"}),
+        (BettiTable, {"entries": [{"i": 0, "j": 0, "value": 1.0}]}),
+        (FiltrationChain, {"d": 0.0, "ideals": [{"vars": 1, "gens": [[0]]}]}),
+        (GinResult, {"vars": 1, "gens": [[1]], "seed": "0", "trials": 2, "borel_certified": True}),
+        (GinResult, {"vars": 1, "gens": [[1]], "seed": 0, "trials": 2, "borel_certified": "yes"}),
+        (HTriangle, {"d": 1, "entries": [{"i": 0, "j": 0, "value": True}]}),
+        (LocalCohomologyTable, {"entries": [{"i": 0, "c": 0.5, "value": 1}]}),
+    ],
+)
+def test_output_parsers_reject_non_integers(cls, payload):
+    with pytest.raises(ValueError, match="must be"):
+        cls.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SimplicialComplex(3, [[1, True]]),
+        lambda: SimplicialComplex(3, [[True, 2]]),
+        lambda: SimplicialComplex(3, [[1.0]]),
+        lambda: SimplicialComplex(True, [[1]]),
+        lambda: BWPolynomial({(1, 0): 2.5}),
+        lambda: BWPolynomial({(True, 0): 3}),
+        lambda: BettiTable({(0, 0): 1.9}),
+        lambda: HTriangle(1, {(1, 0): 1.0}),
+        lambda: LocalCohomologyTable({(0, 0.5): 1}),
+    ],
+)
+def test_library_constructors_reject_non_integers(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
 def test_text_format(capsys, ideal_path):
     assert main(["bw", "--input", ideal_path, "--format", "text"]) == 0
     out = capsys.readouterr().out
@@ -284,6 +325,19 @@ def test_seed_env_fallback(capsys, ideal_path, monkeypatch):
     assert data["seed"] == 7
     ideal = MonomialIdeal.from_json(data)
     assert {m.exponents for m in ideal.gens} == GIN_GENS
+
+
+def test_seed_env_must_be_an_integer(capsys, ideal_path, monkeypatch):
+    monkeypatch.setenv("BWKIT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["gin", "--input", ideal_path, "--format", "text"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "abc" in captured.err
+    # an explicit --seed never reads the environment
+    data = run_json(capsys, ["gin", "--input", ideal_path, "--seed", "7"])
+    assert data["seed"] == 7
 
 
 def test_polynomial_input_bw_via_gin(capsys, tmp_path):

@@ -2,23 +2,32 @@
 initial ideals, cross-checked against naive division and standard-monomial
 counting."""
 
+import hashlib
+import json
+import math
 import random
 
 import pytest
 
 from bwkit import (
     GinResult,
+    HilbertSeries,
     Monomial,
     MonomialIdeal,
+    NotCertified,
     Polynomial,
     RingSpec,
+    UniPoly,
+    apply_linear_change,
     gin,
+    hilbert_numerator,
     initial_ideal,
     is_strongly_stable,
     normal_form,
     parse_polynomial,
     reduced_groebner_basis,
 )
+from bwkit import groebner
 from corpus import borel_closure, random_homogeneous_polys, random_monomial_ideal
 from oracles import poly_quotient_dims, standard_monomial_counts
 
@@ -229,3 +238,117 @@ def test_gin_determinism_and_json():
     res2 = gin(worked_example_ideal(), seed=0)
     assert res1 == res2
     assert GinResult.from_json(res1.to_json()) == res1
+
+
+# -- modular gin trials ----------------------------------------------------------------
+
+
+def _golden_inputs():
+    """240 seeded gin inputs: monomial ideals and homogeneous polynomial
+    systems, a quarter of the systems with fractional coefficients."""
+    rng = random.Random(20261018)
+    out = []
+    for k in range(150):
+        out.append((random_monomial_ideal(rng, max_vars=5, max_degree=3, max_gens=4), k % 3))
+    for k in range(90):
+        ring, gens = random_homogeneous_polys(rng, rng.randint(2, 4), rng.randint(1, 3))
+        if k % 4 == 0:
+            gens = [
+                Polynomial(ring, {m: c / rng.randint(1, 5) for m, c in g.terms()})
+                for g in gens
+            ]
+        out.append((gens, k % 3))
+    return out
+
+
+def test_gin_golden():
+    """Frozen value: the digest of gin(...).to_json() on 240 seeded inputs,
+    taken from the exact fraction-free trials before the modular engine, so
+    the modular trials must reproduce their output byte for byte."""
+    docs = [gin(x, seed=s).to_json() for x, s in _golden_inputs()]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "c5d61360effd2cc3d7a6521dfedabb561c7d5629d12ee8d90396e649fbb44822"
+
+
+def test_gin_primes_are_distinct_word_size_primes():
+    assert len(set(groebner._PRIMES)) == len(groebner._PRIMES) == 10
+    for p in groebner._PRIMES:
+        assert p < 2**31
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _trial_inputs():
+    rng = random.Random(314)
+    for k in range(60):
+        if k % 2:
+            ring, gens = random_homogeneous_polys(rng, rng.randint(2, 4), rng.randint(1, 3))
+        else:
+            ideal = random_monomial_ideal(rng, max_vars=5, max_degree=3, max_gens=4)
+            ring = ideal.ring
+            gens = [Polynomial.from_monomial(ring, g) for g in ideal.sorted_gens()]
+        yield k, ring, gens
+
+
+def test_modular_trial_matches_exact_route():
+    """One F_p trial, stopped by the Hilbert target or run to the end, gives
+    the initial ideal over Q of the generators moved by the same matrix."""
+    for k, ring, gens in _trial_inputs():
+        matrix = groebner._draw_matrix(random.Random(k), ring.n, 10**4)
+        exact = initial_ideal([apply_linear_change(f, matrix) for f in gens])
+        int_gens = [groebner._to_int_poly(f) for f in gens]
+        target = hilbert_numerator(initial_ideal(gens))
+        prime = groebner._PRIMES[k % 10]
+        assert groebner._gin_trial(int_gens, matrix, prime, target) == exact
+        assert groebner._gin_trial(int_gens, matrix, prime, None) == exact
+
+
+def test_modular_trial_singular_mod_p():
+    p = groebner._PRIMES[0]
+    gens = [groebner._to_int_poly(parse_polynomial(R2, "x1*x2"))]
+    assert groebner._gin_trial(gens, [[1, 0], [0, p]], p, None) is None
+    assert groebner._gin_trial(gens, [[1, 0], [0, p + 1]], p, None) is not None
+
+
+@pytest.mark.parametrize("wrong", ["impossible", "too small"])
+def test_gin_wrong_hilbert_target_does_not_certify(monkeypatch, wrong):
+    ideal = worked_example_ideal()
+    if wrong == "impossible":
+        # K(0) = 1 for every monomial ideal
+        target = HilbertSeries(UniPoly([2]), ideal.ring.n)
+    else:
+        # the series of a strictly larger ideal: the trials never reach it
+        extra = Monomial((0, 0, 0, 3, 0, 0))
+        bigger = MonomialIdeal(ideal.ring, list(worked_example_gin().gens) + [extra])
+        target = hilbert_numerator(bigger)
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    monkeypatch.setattr(groebner, "_gin_target", lambda *args: target)
+    with pytest.raises(NotCertified):
+        gin(ideal, seed=0)
+
+
+def test_gin_records_the_rounds_run(monkeypatch):
+    """A first round whose trials disagree costs two more trials."""
+    expected = gin(worked_example_ideal(), seed=0).ideal
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    real = groebner._gin_trial
+    calls = []
+
+    def trial(*args):
+        calls.append(args[2])
+        out = real(*args)
+        if len(calls) == 2:
+            return MonomialIdeal(out.ring, list(out.gens) + [Monomial((0,) * 5 + (1,))])
+        return out
+
+    monkeypatch.setattr(groebner, "_gin_trial", trial)
+    result = gin(worked_example_ideal(), seed=0)
+    assert result.trials == 4 and result.borel_certified
+    assert result.ideal == expected
+    assert calls == list(groebner._PRIMES[:4])
+
+
+def test_gin_result_from_json_rejects_non_integers():
+    good = gin(worked_example_ideal(), seed=0).to_json()
+    for field, bad in [("seed", 1.0), ("trials", "2"), ("trials", True), ("borel_certified", 1)]:
+        with pytest.raises(ValueError):
+            GinResult.from_json({**good, field: bad})
