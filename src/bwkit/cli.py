@@ -31,6 +31,7 @@ from .monomial import (
 from .ring import Monomial, Polynomial, RingSpec, parse_polynomial
 from .simplicial import (
     SimplicialComplex,
+    _refuse_hochster_scan,
     alexander_dual,
     complex_of_ideal,
     graded_betti_hochster,
@@ -255,6 +256,7 @@ def _cmd_betti(loaded, args):
             table = betti_eliahou_kervaire(ideal)
             route = "eliahou-kervaire"
         elif ideal.is_squarefree():
+            _refuse_hochster_scan(ideal.ring.n)
             table = graded_betti_hochster(complex_of_ideal(ideal), _parse_field(args.field))
             route = "hochster"
         else:

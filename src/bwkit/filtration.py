@@ -190,14 +190,12 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
     return ScmReport(scm, seed, bw_in, bw_g, witness, criteria)
 
 
-def local_cohomology_scm(
-    ideal: MonomialIdeal, seed: int = 0, check: bool = True
-) -> LocalCohomologyTable:
+def local_cohomology_scm(ideal: MonomialIdeal, seed: int = 0) -> LocalCohomologyTable:
     """Hilb(H^i_m) = h(U_i;t)/(t-1)^i for sequentially Cohen-Macaulay input:
     each layer h-polynomial re-expanded in powers of (t-1)."""
     if not ideal.is_proper:
         raise ValueError("local cohomology wants a proper ideal")
-    if check and not scm_check(ideal, seed=seed, full_battery=False).scm:
+    if not scm_check(ideal, seed=seed, full_battery=False).scm:
         raise NotSCM("layer formula needs a sequentially Cohen-Macaulay algebra")
     dec = layer_decomposition(ideal)
     entries: dict[tuple[int, int], int] = {}

@@ -46,6 +46,7 @@ from .ring import (
     _rank_int,
     _rank_mod_p,
     _substitute,
+    exponent_mask,
     exponent_revlex_key,
     require_int,
 )
@@ -75,14 +76,6 @@ class NotCertified(RuntimeError):
 def _negkey(m: Mono) -> tuple:
     """Min-heap key popping the revlex-greatest monomial first."""
     return (-sum(m), m[::-1])
-
-
-def _mask(m: Mono) -> int:
-    out = 0
-    for i, e in enumerate(m):
-        if e:
-            out |= 1 << i
-    return out
 
 
 def _divides(a: Mono, b: Mono) -> bool:
@@ -118,7 +111,7 @@ class _Basis:
         self.lm = next(iter(poly))
         self.lc = poly[self.lm]
         self.tail = tuple((m, c) for m, c in poly.items() if m != self.lm)
-        self.mask = _mask(self.lm)
+        self.mask = exponent_mask(self.lm)
         self.deg = sum(self.lm)
 
     def as_dict(self) -> IntPoly:
@@ -146,7 +139,7 @@ def _reduce_full(p: IntPoly, basis: Sequence[_Basis]) -> IntPoly:
         c = work.pop(m, 0)
         if not c:
             continue
-        mmask = _mask(m)
+        mmask = exponent_mask(m)
         for g in basis:
             if g.mask & ~mmask:
                 continue
@@ -191,7 +184,7 @@ def _reduce_mod(p: IntPoly, basis: Sequence[_Basis], prime: int) -> IntPoly:
         c = work.pop(m, 0)
         if not c:
             continue
-        mmask = _mask(m)
+        mmask = exponent_mask(m)
         for g in basis:
             if not g.mask & ~mmask and _divides(g.lm, m):
                 break

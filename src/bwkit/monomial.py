@@ -19,7 +19,7 @@ from math import comb
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
-from .ring import Exps, HilbertSeries, Monomial, RingSpec, UniPoly, require_int, revlex_key
+from .ring import Exps, HilbertSeries, Monomial, RingSpec, UniPoly, exponent_mask, require_int, revlex_key
 
 
 def _minimalize(exps: Iterable[Exps]) -> frozenset[Exps]:
@@ -192,24 +192,28 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     return True
 
 
+def _minimal_transversals(edges: Iterable[int]) -> list[int]:
+    """Minimal vertex sets meeting every edge, as bitmasks (Berge's sequential
+    dualization; grown sets form an antichain).  No edges give [0]."""
+    trans = [0]
+    for e in sorted(edges, key=int.bit_count):
+        hit = [t for t in trans if t & e]
+        bits = [1 << k for k in range(e.bit_length()) if e >> k & 1]
+        grown = (t | b for t in trans if not t & e for b in bits)
+        trans = hit + [g for g in grown if not any(h & g == h for h in hit)]
+    return trans
+
+
 def krull_dimension(ideal: MonomialIdeal) -> int:
     """dim R/I.  Unit ideal reports the sentinel -1; zero ideal reports n.
 
-    Equals n minus the minimum height of a minimal prime, i.e. the largest
-    cardinality of a variable subset meeting no generator's support.
+    Equals n minus the minimum height of a minimal prime, i.e. the size of the
+    smallest minimal transversal of the generators' supports.
     """
     if ideal.is_unit:
         return -1
-    n = ideal.ring.n
-    if ideal.is_zero:
-        return n
-    supports = [frozenset(g.support()) for g in ideal.gens]
-    for k in range(n, -1, -1):
-        for cand in itertools.combinations(range(1, n + 1), k):
-            s = frozenset(cand)
-            if not any(sup <= s for sup in supports):
-                return k
-    raise AssertionError("unreachable: empty set meets no support")
+    supports = (exponent_mask(g.exponents) for g in ideal.gens)
+    return ideal.ring.n - min(map(int.bit_count, _minimal_transversals(supports)))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,15 @@ def exponent_revlex_key(e: Exps) -> tuple:
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
+def exponent_mask(e: Exps) -> int:
+    """Support of an exponent tuple as a bitmask: bit k stands for x_{k+1}."""
+    out = 0
+    for k, x in enumerate(e):
+        if x:
+            out |= 1 << k
+    return out
+
+
 def revlex_key(m: "Monomial") -> tuple:
     """Sort key: ascending in graded revlex."""
     return exponent_revlex_key(m.exponents)

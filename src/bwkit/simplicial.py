@@ -4,6 +4,9 @@ ideals, Alexander duality, exact reduced homology, Hochster's formulas for
 graded Betti numbers and local cohomology, a homological sequential
 Cohen-Macaulayness oracle, and the symmetric algebraic shift.
 
+Minimal non-faces and the facets of the complex of a squarefree ideal come
+from minimal transversals of vertex bitmasks, never from subset scans.
+
 Homology is computed over Q by default (fraction-free integer elimination)
 or over a prime field when a prime is supplied.
 """
@@ -16,8 +19,8 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .groebner import gin
-from .monomial import BettiTable, MonomialIdeal
-from .ring import Monomial, RingSpec, UniPoly, _rank_int, _rank_mod_p, require_int
+from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
+from .ring import Monomial, RingSpec, UniPoly, _rank_int, _rank_mod_p, exponent_mask, require_int
 
 Face = frozenset[int]
 
@@ -220,29 +223,22 @@ def h_triangle(cpx: SimplicialComplex) -> HTriangle:
 # -- Stanley-Reisner bridge -----------------------------------------------------
 
 
+def _vertices(mask: int) -> tuple[int, ...]:
+    return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 def minimal_nonfaces(cpx: SimplicialComplex) -> list[tuple[int, ...]]:
-    faces = cpx.faces()
-    out: list[tuple[int, ...]] = []
-    for k in range(1, cpx.n + 1):
-        for cand in itertools.combinations(range(1, cpx.n + 1), k):
-            s = frozenset(cand)
-            if s in faces:
-                continue
-            if all(s - {v} in faces for v in cand):
-                out.append(cand)
-    return out
+    """Minimal sets in no facet: minimal transversals of the facets' complements."""
+    ground = (1 << cpx.n) - 1
+    nonfaces = _minimal_transversals(ground ^ sum(1 << (v - 1) for v in f) for f in cpx.facets)
+    return sorted(map(_vertices, nonfaces), key=lambda t: (len(t), t))
 
 
 def stanley_reisner_ideal(cpx: SimplicialComplex) -> MonomialIdeal:
     """I_Delta: generated by the minimal non-faces (squarefree)."""
-    ring = RingSpec(cpx.n)
-    gens = []
-    for nf in minimal_nonfaces(cpx):
-        e = [0] * cpx.n
-        for v in nf:
-            e[v - 1] = 1
-        gens.append(Monomial(tuple(e)))
-    return MonomialIdeal(ring, gens)
+    n = cpx.n
+    gens = (Monomial(tuple(int(v in nf) for v in range(1, n + 1))) for nf in minimal_nonfaces(cpx))
+    return MonomialIdeal(RingSpec(n), gens)
 
 
 def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
@@ -252,14 +248,8 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     if ideal.is_unit:
         raise ValueError("the unit ideal corresponds to the void complex")
     n = ideal.ring.n
-    supports = [frozenset(g.support()) for g in ideal.gens]
-    faces = [
-        set(cand)
-        for k in range(n + 1)
-        for cand in itertools.combinations(range(1, n + 1), k)
-        if not any(sup <= set(cand) for sup in supports)
-    ]
-    return SimplicialComplex(n, faces)
+    transversals = _minimal_transversals(exponent_mask(g.exponents) for g in ideal.gens)
+    return SimplicialComplex(n, [_vertices(((1 << n) - 1) ^ t) for t in transversals])
 
 
 def facet_subcomplex(cpx: SimplicialComplex, i: int) -> SimplicialComplex:
@@ -336,10 +326,14 @@ def reduced_homology_ranks(cpx: SimplicialComplex, p: int | None = None) -> dict
 # -- Hochster formulas ----------------------------------------------------------
 
 
+def _refuse_hochster_scan(n: int) -> None:
+    if n > _HOCHSTER_LIMIT:
+        raise ValueError(f"restriction scan over 2^{n} subsets refused (n > {_HOCHSTER_LIMIT})")
+
+
 def graded_betti_hochster(cpx: SimplicialComplex, p: int | None = None) -> BettiTable:
     """beta_{i,j}(k[Delta]) = sum over |W| = j of dim H~_{j-i-1}(Delta_W)."""
-    if cpx.n > _HOCHSTER_LIMIT:
-        raise ValueError(f"restriction scan over 2^{cpx.n} subsets refused (n > {_HOCHSTER_LIMIT})")
+    _refuse_hochster_scan(cpx.n)
     entries: dict[tuple[int, int], int] = {}
     vertices = range(1, cpx.n + 1)
     for j in range(cpx.n + 1):
@@ -546,8 +540,7 @@ class HrwResult:
 
 def hrw_check(cpx: SimplicialComplex, p: int | None = None) -> HrwResult:
     ht = h_triangle(cpx)
-    nonfaces = minimal_nonfaces(cpx)
-    if not nonfaces:
+    if not minimal_nonfaces(cpx):
         # full simplex: the dual is void, both sides are read as zero rows
         return HrwResult(True, (), True)
     dual = alexander_dual(cpx)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to pin expected values: standard
 monomial counting (monomial and polynomial ideals), exact matrix rank over Q,
-and a Koszul-complex computation of graded Betti numbers.
+a Koszul-complex computation of graded Betti numbers, and scans over all 2^n
+vertex subsets for the Krull dimension and the Stanley-Reisner bridge.
 
 Everything here is deliberately naive and separate from the library's
 algorithms; only container types are shared.
@@ -12,7 +13,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from bwkit import Monomial, MonomialIdeal, Polynomial, RingSpec
+from bwkit import Monomial, MonomialIdeal, Polynomial, RingSpec, SimplicialComplex
 
 
 def monomials_of_degree(n: int, k: int) -> list[tuple[int, ...]]:
@@ -140,3 +141,44 @@ def koszul_betti_table(ideal: MonomialIdeal, max_j: int) -> dict[tuple[int, int]
 
 def binomial_dims(n: int, upto: int) -> list[int]:
     return [comb(n - 1 + k, k) for k in range(upto + 1)]
+
+
+def scan_krull_dimension(ideal: MonomialIdeal) -> int:
+    """Largest variable subset containing no generator's support; -1 for <1>."""
+    if ideal.is_unit:
+        return -1
+    n = ideal.ring.n
+    supports = [frozenset(g.support()) for g in ideal.gens]
+    for k in range(n, -1, -1):
+        for cand in itertools.combinations(range(1, n + 1), k):
+            s = frozenset(cand)
+            if not any(sup <= s for sup in supports):
+                return k
+    raise AssertionError("unreachable: empty set meets no support")
+
+
+def scan_minimal_nonfaces(cpx: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Non-faces all of whose codimension-one subsets are faces."""
+    faces = cpx.faces()
+    out: list[tuple[int, ...]] = []
+    for k in range(1, cpx.n + 1):
+        for cand in itertools.combinations(range(1, cpx.n + 1), k):
+            s = frozenset(cand)
+            if s in faces:
+                continue
+            if all(s - {v} in faces for v in cand):
+                out.append(cand)
+    return out
+
+
+def scan_complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
+    """Every vertex subset containing no generator's support is a face."""
+    n = ideal.ring.n
+    supports = [frozenset(g.support()) for g in ideal.gens]
+    faces = [
+        set(cand)
+        for k in range(n + 1)
+        for cand in itertools.combinations(range(1, n + 1), k)
+        if not any(sup <= set(cand) for sup in supports)
+    ]
+    return SimplicialComplex(n, faces)

@@ -206,6 +206,15 @@ def test_betti_payloads(capsys, complex_path, tmp_path):
     assert main(["betti", "--input", str(mixed)]) == 2
 
 
+def test_betti_refuses_large_squarefree_ideal_before_building_its_complex(capsys, tmp_path):
+    # 15 disjoint edges: the complex has 2^15 facets, refused before it is built
+    gens = [[int(v // 2 == k) for v in range(30)] for k in range(15)]
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps({"vars": 30, "gens": gens}))
+    assert main(["betti", "--input", str(path)]) == 2
+    assert "refused (n > 14)" in capsys.readouterr().err
+
+
 def test_field_option(capsys, complex_path, ideal_path):
     data = run_json(capsys, ["betti", "--input", complex_path, "--field", "p:7"])
     assert BettiTable.from_json(data).totals() == [1, 7, 11, 6, 1]

@@ -29,6 +29,7 @@ from bwkit import (
     hrw_check,
     induced_subcomplex,
     is_cohen_macaulay,
+    krull_dimension,
     link,
     local_cohomology_hochster,
     minimal_nonfaces,
@@ -38,9 +39,15 @@ from bwkit import (
     stanley_reisner_ideal,
     symmetric_shift,
 )
+from bwkit.monomial import _minimal_transversals
 from bwkit.ring import _rank_int
 from corpus import random_monomial_ideal
-from oracles import fraction_rank
+from oracles import (
+    fraction_rank,
+    scan_complex_of_ideal,
+    scan_krull_dimension,
+    scan_minimal_nonfaces,
+)
 
 
 def cpx(n, *facets):
@@ -183,6 +190,69 @@ def test_complex_of_ideal_roundtrip():
         complex_of_ideal(MonomialIdeal.unit(RingSpec(2)))
     with pytest.raises(ValueError):
         complex_of_ideal(MonomialIdeal.from_exponents(RingSpec(2), [(2, 0)]))
+
+
+def test_minimal_transversals_edge_cases():
+    assert _minimal_transversals([]) == [0]
+    assert _minimal_transversals([0b101, 0]) == []
+    assert sorted(_minimal_transversals([0b011, 0b011, 0b011])) == [0b001, 0b010]
+    assert sorted(_minimal_transversals([0b011, 0b110])) == [0b010, 0b101]
+    # a superset of an edge changes nothing, in either order
+    assert sorted(_minimal_transversals([0b111, 0b001])) == [0b001]
+    full = cpx(4, (1, 2, 3, 4))
+    assert minimal_nonfaces(full) == []
+    assert stanley_reisner_ideal(full).is_zero
+    assert complex_of_ideal(MonomialIdeal.zero(RingSpec(4))) == full
+
+
+def _random_small_ideal(rng):
+    """1-9 variables and 0-6 generators (the zero ideal included); the
+    exponents are all 1 in about half of the ideals and up to 2 in the rest."""
+    n = rng.randint(1, 9)
+    top = rng.randint(1, 2)
+    gens = []
+    for _ in range(rng.randint(0, 6)):
+        e = [0] * n
+        for v in rng.sample(range(n), rng.randint(1, min(n, 4))):
+            e[v] = rng.randint(1, top)
+        gens.append(e)
+    return MonomialIdeal.from_exponents(RingSpec(n), gens)
+
+
+def _random_small_complex(rng):
+    """1-9 vertices and 1-7 random faces of at most max(n - 2, 1) vertices, so
+    the full simplex occurs only for n <= 2; the empty face occurs."""
+    n = rng.randint(1, 9)
+    size = max(n - 2, 1)
+    faces = [rng.sample(range(1, n + 1), rng.randint(0, size)) for _ in range(rng.randint(1, 7))]
+    return SimplicialComplex(n, faces)
+
+
+def test_transversal_routes_match_subset_scans():
+    rng = random.Random(4051)
+    squarefree = 0
+    for _ in range(1500):
+        i = _random_small_ideal(rng)
+        assert krull_dimension(i) == scan_krull_dimension(i)
+        if i.is_squarefree() and i.is_proper:
+            squarefree += 1
+            assert complex_of_ideal(i) == scan_complex_of_ideal(i)
+    assert squarefree > 600
+    for _ in range(1000):
+        c = _random_small_complex(rng)
+        assert minimal_nonfaces(c) == scan_minimal_nonfaces(c)
+        assert complex_of_ideal(stanley_reisner_ideal(c)) == c
+
+
+def test_path_edge_ideal_at_24_vertices():
+    """Needs the transversal routine: subset scans double per vertex."""
+    n = 24
+    edges = [tuple(int(v in (k, k + 1)) for v in range(1, n + 1)) for k in range(1, n)]
+    ideal = MonomialIdeal.from_exponents(RingSpec(n), edges)
+    assert krull_dimension(ideal) == 12
+    path = complex_of_ideal(ideal)
+    assert len(path.facets) == 816
+    assert minimal_nonfaces(path) == [(k, k + 1) for k in range(1, n)]
 
 
 def test_facet_subcomplex_goldens():
