@@ -13,11 +13,11 @@ from .groebner import gin
 from .monomial import (
     FiltrationChain,
     MonomialIdeal,
-    borel_depth,
+    _chain_depth,
     dimension_filtration,
     hilbert_numerator,
 )
-from .ring import BWPolynomial, UniPoly
+from .ring import BWPolynomial, HilbertSeries, UniPoly
 from .simplicial import LocalCohomologyTable, SimplicialComplex, h_triangle
 
 
@@ -33,6 +33,8 @@ class LayerDecomposition:
 
     chain: FiltrationChain
     layer_h: tuple[UniPoly, ...]
+    # hilbert_numerator of I, then of each chain level
+    numerators: tuple[HilbertSeries, ...]
 
     @property
     def d(self) -> int:
@@ -49,12 +51,12 @@ def layer_decomposition(
     R/I^<j> over (1-t)^n, K_{-1} taken for I itself.  Exact divisions."""
     chain = dimension_filtration(ideal, route=route)
     n = ideal.ring.n
-    ks = [hilbert_numerator(ideal).numerator]
-    ks.extend(hilbert_numerator(q).numerator for q in chain.ideals)
+    series = (hilbert_numerator(ideal),) + tuple(map(hilbert_numerator, chain.ideals))
+    ks = [hs.numerator for hs in series]
     layers = tuple(
         (ks[i] - ks[i + 1]).divexact_one_minus_t(n - i) for i in range(chain.d + 1)
     )
-    return LayerDecomposition(chain, layers)
+    return LayerDecomposition(chain, layers, series)
 
 
 def bw_polynomial(ideal: MonomialIdeal, route: str = "decomposition") -> BWPolynomial:
@@ -154,19 +156,21 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
         for i in range(chain_in.d):
             level = gin(chain_in.ideals[i], seed=seed).ideal
             swapped = chain_g.ideals[i]
-            depth = borel_depth(level)
+            level_chain = dimension_filtration(level, route="borel")
+            depth = _chain_depth(level, level_chain)
             if depth < i + 1:
                 miss("depth", i, f"depth {depth} < {i + 1}")
-            own = dimension_filtration(level, route="borel").ideals[i]
+            own = level_chain.ideals[i]
             if level != own:
                 miss("gin-chain-stable", i, f"{level} vs {own}")
             if level != swapped:
                 miss("gin-chain-swap", i, f"{level} vs {swapped}")
+            # the layer decompositions hold the chain levels' numerators
             hs_level = hilbert_numerator(level)
-            hs_swapped = hilbert_numerator(swapped)
+            hs_swapped = dec_g.numerators[i + 1]
             if hs_level != hs_swapped:
                 miss("hilbert-gin-pair", i, f"{hs_level} vs {hs_swapped}")
-            hs_input = hilbert_numerator(chain_in.ideals[i])
+            hs_input = dec_in.numerators[i + 1]
             if hs_input != hs_swapped:
                 miss("hilbert-input-pair", i, f"{hs_input} vs {hs_swapped}")
         names = (

@@ -2,13 +2,20 @@
 ideals, and certified generic initial ideals.
 
 One pair loop (`_buchberger`: pairs by ascending lcm degree, coprime-lead and
-chain criteria) drives two engines that differ only in their reduction.  The
+chain criteria) drives two engines that differ only in their reduction.  Both
+key terms by packed monomials (`ring._Packing`): an exponent vector is one
+int, W bits a variable with x_n in the top field.  A product is a sum, a
+quotient a difference, g divides m when m - g is non-negative with no
+field's top bit set, and within one degree (every polynomial here is
+homogeneous) the smallest key is the revlex-greatest, so the reduction heaps
+hold plain ints.  W fits the input degrees; a pair whose lcm degree does not
+fit reruns the whole computation with wider fields, so nothing wraps.  The
 exact engine over Q works fraction-free: polynomials are primitive integer
-coefficient dicts keyed by exponent tuples, reduction is pseudo-reduction
-(scale by the divisor's leading coefficient, subtract, strip content at the
-end), and monic rational polynomials appear only at the public boundary.  It
-serves `reduced_groebner_basis`, `initial_ideal` and the Hilbert target of
-gin.  The modular engine keeps monic basis elements with coefficients mod a
+coefficient dicts, reduction is pseudo-reduction (scale by the divisor's
+leading coefficient, subtract, strip content at the end), and monic rational
+polynomials appear only at the public boundary.  It serves
+`reduced_groebner_basis`, `initial_ideal` and the Hilbert target of gin.
+The modular engine keeps monic basis elements with coefficients mod a
 word-size prime p and yields leading monomials only.
 
 gin(I) draws a dense square integer matrix with entries uniform in [-B, B]
@@ -34,8 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from operator import add, le, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .monomial import MonomialIdeal, hilbert_numerator, is_strongly_stable
 from .ring import (
@@ -43,11 +49,10 @@ from .ring import (
     Monomial,
     Polynomial,
     RingSpec,
+    _Packing,
     _rank_int,
     _rank_mod_p,
     _substitute,
-    exponent_mask,
-    exponent_revlex_key,
     require_int,
 )
 
@@ -62,28 +67,26 @@ __all__ = [
     "is_strongly_stable",
 ]
 
-Mono = tuple[int, ...]
-IntPoly = dict[Mono, int]
+# integer polynomials: on packed keys inside the engines, on monomials at
+# their boundary; either way the lead term comes first
+IntPoly = dict[int, int]
+MonoPoly = dict[Monomial, int]
+T = TypeVar("T")
 
 
 class NotCertified(RuntimeError):
     """gin certification failed: trials kept disagreeing or were not Borel-fixed."""
 
 
-# -- engine helpers (raw exponent tuples, integer coefficients) ----------------
+class _Overflow(Exception):
+    """A pair's lcm degree reached the packing's limit."""
 
 
-def _negkey(m: Mono) -> tuple:
-    """Min-heap key popping the revlex-greatest monomial first."""
-    return (-sum(m), m[::-1])
+# -- engine helpers (packed monomial keys, integer coefficients) ---------------
 
 
-def _divides(a: Mono, b: Mono) -> bool:
-    return all(map(le, a, b))
-
-
-def _primitive(p: IntPoly) -> IntPoly:
-    """Strip content and normalize the leading coefficient to be positive."""
+def _primitive(p: dict[T, int]) -> dict[T, int]:
+    """Strip content and make the leading (first) coefficient positive."""
     if not p:
         return p
     g = 0
@@ -91,8 +94,7 @@ def _primitive(p: IntPoly) -> IntPoly:
         g = gcd(g, c)
         if g == 1:
             break
-    lead = max(p, key=exponent_revlex_key)
-    if p[lead] < 0:
+    if next(iter(p.values())) < 0:
         g = -g
     if g != 1:
         p = {m: c // g for m, c in p.items()}
@@ -100,19 +102,19 @@ def _primitive(p: IntPoly) -> IntPoly:
 
 
 class _Basis:
-    """Basis element: leading monomial/coefficient, tail terms, support mask.
+    """Basis element: packed leading monomial, leading coefficient, tail
+    terms and degree.
 
     Built from a reduction's output, whose terms come revlex-descending, so
     the first term is the lead."""
 
-    __slots__ = ("lm", "lc", "tail", "mask", "deg")
+    __slots__ = ("lm", "lc", "tail", "deg")
 
-    def __init__(self, poly: IntPoly):
+    def __init__(self, poly: IntPoly, packing: _Packing):
         self.lm = next(iter(poly))
         self.lc = poly[self.lm]
         self.tail = tuple((m, c) for m, c in poly.items() if m != self.lm)
-        self.mask = exponent_mask(self.lm)
-        self.deg = sum(self.lm)
+        self.deg = packing.degree(self.lm)
 
     def as_dict(self) -> IntPoly:
         out = dict(self.tail)
@@ -120,30 +122,30 @@ class _Basis:
         return out
 
 
-def _reduce_full(p: IntPoly, basis: Sequence[_Basis]) -> IntPoly:
-    """Primitive full remainder of p modulo the basis (pseudo-reduction).
+def _reduce_full(p: IntPoly, basis: Sequence[_Basis], guard: int) -> IntPoly:
+    """Primitive full remainder of homogeneous p modulo the basis
+    (pseudo-reduction).
 
-    Terms are eliminated from the revlex top down; every reduction step may
-    rescale the pending polynomial and accumulated remainder by the divisor's
-    leading coefficient, keeping everything integral.
+    Terms are eliminated from the revlex top down, which within one degree is
+    the smallest key first; every reduction step may rescale the pending
+    polynomial and accumulated remainder by the divisor's leading
+    coefficient, keeping everything integral.
     """
     if not p:
         return {}
     work = dict(p)
-    heap = [_negkey(m) for m in work]
+    heap = list(work)
     heapq.heapify(heap)
     rem: IntPoly = {}
     while heap:
-        negd, rev = heapq.heappop(heap)
-        m = rev[::-1]
+        m = heapq.heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
-        mmask = exponent_mask(m)
         for g in basis:
-            if g.mask & ~mmask:
-                continue
-            if _divides(g.lm, m):
+            # _Packing.divides, inlined; q is the quotient
+            q = m - g.lm
+            if q >= 0 and not q & guard:
                 d = gcd(c, g.lc)
                 a = g.lc // d
                 b = c // d
@@ -152,13 +154,12 @@ def _reduce_full(p: IntPoly, basis: Sequence[_Basis]) -> IntPoly:
                         work[k] *= a
                     for k in rem:
                         rem[k] *= a
-                q = tuple(map(sub, m, g.lm))
                 for mt, ct in g.tail:
-                    key = tuple(map(add, mt, q))
+                    key = mt + q
                     prev = work.get(key)
                     if prev is None:
                         work[key] = -b * ct
-                        heapq.heappush(heap, _negkey(key))
+                        heapq.heappush(heap, key)
                     else:
                         v = prev - b * ct
                         if v:
@@ -171,39 +172,37 @@ def _reduce_full(p: IntPoly, basis: Sequence[_Basis]) -> IntPoly:
     return _primitive(rem)
 
 
-def _reduce_mod(p: IntPoly, basis: Sequence[_Basis], prime: int) -> IntPoly:
+def _reduce_mod(p: IntPoly, basis: Sequence[_Basis], guard: int, prime: int) -> IntPoly:
     """Monic full remainder of homogeneous p mod prime, modulo a basis of
     monic elements with coefficients in [0, prime)."""
-    work = {m: c % prime for m, c in p.items() if c % prime}
-    # one degree throughout, so reversed exponents order the heap by revlex
-    heap = [m[::-1] for m in work]
+    work = dict(p)
+    heap = list(work)
     heapq.heapify(heap)
     rem: IntPoly = {}
     while heap:
-        m = heapq.heappop(heap)[::-1]
-        c = work.pop(m, 0)
+        m = heapq.heappop(heap)
+        # terms are reduced mod prime only here: a popped key never comes
+        # back, since every update lands below it in revlex
+        c = work.pop(m) % prime
         if not c:
             continue
-        mmask = exponent_mask(m)
         for g in basis:
-            if not g.mask & ~mmask and _divides(g.lm, m):
+            # _Packing.divides, inlined; q is the quotient
+            q = m - g.lm
+            if q >= 0 and not q & guard:
                 break
         else:
             rem[m] = c
             continue
-        q = tuple(map(sub, m, g.lm))
+        c = prime - c
         for mt, ct in g.tail:
-            key = tuple(map(add, mt, q))
+            key = mt + q
             prev = work.get(key)
             if prev is None:
-                work[key] = -c * ct % prime
-                heapq.heappush(heap, key[::-1])
+                work[key] = c * ct
+                heapq.heappush(heap, key)
             else:
-                v = (prev - c * ct) % prime
-                if v:
-                    work[key] = v
-                else:
-                    del work[key]
+                work[key] = prev + c * ct
     if rem:
         # terms arrive revlex-descending, so the first one is the lead
         inv = pow(next(iter(rem.values())), -1, prime)
@@ -211,19 +210,19 @@ def _reduce_mod(p: IntPoly, basis: Sequence[_Basis], prime: int) -> IntPoly:
     return rem
 
 
-def _spair(f: _Basis, g: _Basis) -> IntPoly:
-    lcm = tuple(map(max, f.lm, g.lm))
-    qf = tuple(map(sub, lcm, f.lm))
-    qg = tuple(map(sub, lcm, g.lm))
+def _spair(f: _Basis, g: _Basis, packing: _Packing) -> IntPoly:
+    lcm = packing.lcm(f.lm, g.lm)
+    qf = lcm - f.lm
+    qg = lcm - g.lm
     d = gcd(f.lc, g.lc)
     a = g.lc // d
     b = f.lc // d
     out: IntPoly = {}
     for mt, ct in f.tail:
-        key = tuple(map(add, mt, qf))
+        key = mt + qf
         out[key] = out.get(key, 0) + a * ct
     for mt, ct in g.tail:
-        key = tuple(map(add, mt, qg))
+        key = mt + qg
         v = out.get(key, 0) - b * ct
         if v:
             out[key] = v
@@ -234,32 +233,42 @@ def _spair(f: _Basis, g: _Basis) -> IntPoly:
 
 def _buchberger(
     inputs: list[IntPoly],
-    reduce: Callable[[IntPoly, Sequence[_Basis]], IntPoly],
+    reduce: Callable[[IntPoly, Sequence[_Basis], int], IntPoly],
+    packing: _Packing,
     target: HilbertSeries | None = None,
 ) -> list[_Basis]:
     """Buchberger with the coprime-lead and chain criteria, pairs processed in
     ascending lcm-degree order; `reduce` is the engine's full reduction.
 
-    With the target Hilbert series of the ideal, the loop checks the leads at
-    each lcm-degree transition: it stops once their series equals the target,
-    and skips the degree's pairs when the Hilbert functions agree in it.  The
-    leads then generate the initial ideal only if the target is right."""
+    Homogeneous inputs must fit the packing; a pair whose lcm degree does not
+    raises _Overflow.  With the target Hilbert series of the ideal, the loop
+    checks the leads at each lcm-degree transition: it stops once their
+    series equals the target, and skips the degree's pairs when the Hilbert
+    functions agree in it.  The leads then generate the initial ideal only if
+    the target is right."""
+    guard = packing.guard
     G: list[_Basis] = []
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[int, int, int]] = []
 
     def add(poly: IntPoly) -> None:
         t = len(G)
-        g = _Basis(poly)
+        g = _Basis(poly, packing)
         for s, other in enumerate(G):
-            lcm_deg = sum(map(max, other.lm, g.lm))
+            lcm_deg = packing.degree(packing.lcm(other.lm, g.lm))
+            if lcm_deg >= packing.limit:
+                raise _Overflow(lcm_deg)
             pending.add((s, t))
             heapq.heappush(heap, (lcm_deg, s, t))
         G.append(g)
 
-    # ascending by lead; _negkey reverses revlex, so the lead minimizes it
-    for p in sorted(inputs, key=lambda q: min(map(_negkey, q)), reverse=True):
-        r = reduce(p, G)
+    # ascending by lead: by degree, then by descending key
+    def order(q: IntPoly) -> tuple[int, int]:
+        lead = min(q)
+        return packing.degree(lead), -lead
+
+    for p in sorted(inputs, key=order):
+        r = reduce(p, G, guard)
         if r:
             add(r)
 
@@ -273,23 +282,23 @@ def _buchberger(
             # new pairs have a larger lcm degree than the pair that made
             # them, so the degrees popped only grow
             degree = lcm_deg
-            series = hilbert_numerator(_leads(G, len(G[0].lm)))
+            series = hilbert_numerator(_leads(G, packing))
             if series == target:
                 break
             prune = series.expand(degree)[degree] == target.expand(degree)[degree]
         if prune:
             continue
         fi, fj = G[i], G[j]
-        lcm = tuple(map(max, fi.lm, fj.lm))
         # coprime leads: S-pair reduces to zero
-        if sum(lcm) == fi.deg + fj.deg:
+        if lcm_deg == fi.deg + fj.deg:
             continue
+        lcm = packing.lcm(fi.lm, fj.lm)
         # chain criterion: some g_k divides the lcm and both side pairs are done
         skip = False
         for k, gk in enumerate(G):
             if k == i or k == j:
                 continue
-            if _divides(gk.lm, lcm):
+            if packing.divides(gk.lm, lcm):
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -297,42 +306,60 @@ def _buchberger(
                     break
         if skip:
             continue
-        r = reduce(_spair(fi, fj), G)
+        r = reduce(_spair(fi, fj, packing), G, guard)
         if r:
             add(r)
     return G
 
 
-def _autoreduce(G: list[_Basis]) -> list[IntPoly]:
+def _autoreduce(G: list[_Basis], packing: _Packing) -> list[IntPoly]:
     """Keep elements with minimal leads, tail-reduce each against the others."""
     keep = []
     for i, g in enumerate(G):
         if not any(
-            j != i and _divides(h.lm, g.lm) for j, h in enumerate(G)
+            j != i and packing.divides(h.lm, g.lm) for j, h in enumerate(G)
         ):
             keep.append(g)
     # distinct leads are guaranteed (a remainder's lead divides no earlier lead),
-    # so "minimal" needs no tie-breaking
-    keep.sort(key=lambda g: exponent_revlex_key(g.lm))
+    # so "minimal" needs no tie-breaking; ascending revlex
+    keep.sort(key=lambda g: (g.deg, -g.lm))
     out: list[IntPoly] = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        out.append(_reduce_full(g.as_dict(), others))
+        out.append(_reduce_full(g.as_dict(), others, packing.guard))
     return out
 
 
-def _to_int_poly(f: Polynomial) -> IntPoly:
+def _packed_run(
+    gens: list[MonoPoly], n: int, run: Callable[[_Packing, list[IntPoly]], T]
+) -> T:
+    """run(packing, gens on packed keys) in the narrowest packing that holds
+    the generators' degrees; rerun wider whenever a pair's lcm degree
+    overflows it, so no exponent ever wraps."""
+    degree = max((m.degree for g in gens for m in g), default=0)
+    while True:
+        packing = _Packing(n, degree)
+        packed = [{packing.pack(m.exponents): c for m, c in g.items()} for g in gens]
+        try:
+            return run(packing, packed)
+        except _Overflow as exc:
+            degree = 2 * exc.args[0]
+
+
+def _to_int_poly(f: Polynomial) -> MonoPoly:
+    """Primitive integer multiple of f, lead first, keyed by monomials."""
     denom = 1
     for _, c in f.terms():
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    out = {m.exponents: int(c * denom) for m, c in f.terms()}
+    out = {m: int(c * denom) for m, c in f.terms()}
     return _primitive(out)
 
 
-def _to_polynomial(ring: RingSpec, p: IntPoly) -> Polynomial:
-    lead = max(p, key=exponent_revlex_key)
-    lc = p[lead]
-    return Polynomial(ring, {Monomial(m): Fraction(c, lc) for m, c in p.items()})
+def _to_polynomial(ring: RingSpec, p: IntPoly, packing: _Packing) -> Polynomial:
+    lc = p[min(p)]
+    return Polynomial(
+        ring, {Monomial(packing.unpack(m)): Fraction(c, lc) for m, c in p.items()}
+    )
 
 
 # -- public API ----------------------------------------------------------------
@@ -376,9 +403,12 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
             raise ValueError("cannot infer the ring from an empty generator list")
         return GroebnerBasis(gens[0].ring, ())
     ring, polys = _check_inputs(kept)
-    raw = _buchberger([_to_int_poly(f) for f in polys], _reduce_full)
-    reduced = _autoreduce(raw)
-    elements = [_to_polynomial(ring, p) for p in reduced]
+
+    def run(packing: _Packing, packed: list[IntPoly]) -> list[Polynomial]:
+        raw = _buchberger(packed, _reduce_full, packing)
+        return [_to_polynomial(ring, p, packing) for p in _autoreduce(raw, packing)]
+
+    elements = _packed_run([_to_int_poly(f) for f in polys], ring.n, run)
     elements.sort(key=lambda f: f.leading_monomial(), reverse=True)
     return GroebnerBasis(ring, tuple(elements))
 
@@ -455,22 +485,26 @@ def _draw_matrix(rng: random.Random, n: int, bound: int) -> list[list[int]]:
             return m
 
 
-def _leads(G: Sequence[_Basis], n: int) -> MonomialIdeal:
-    return MonomialIdeal(RingSpec(n), (Monomial(g.lm) for g in G))
+def _leads(G: Sequence[_Basis], packing: _Packing) -> MonomialIdeal:
+    return MonomialIdeal(RingSpec(packing.n), (Monomial(packing.unpack(g.lm)) for g in G))
 
 
 def _gin_target(
-    gens: Sequence[Polynomial] | MonomialIdeal, int_gens: list[IntPoly], n: int
+    gens: Sequence[Polynomial] | MonomialIdeal, int_gens: list[MonoPoly], n: int
 ) -> HilbertSeries:
     """Hilbert series every trial must reach: that of the input itself for a
     monomial ideal, that of its initial ideal over Q otherwise."""
     if isinstance(gens, MonomialIdeal):
         return hilbert_numerator(gens)
-    return hilbert_numerator(_leads(_buchberger(int_gens, _reduce_full), n))
+
+    def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal:
+        return _leads(_buchberger(packed, _reduce_full, packing), packing)
+
+    return hilbert_numerator(_packed_run(int_gens, n, run))
 
 
 def _gin_trial(
-    int_gens: list[IntPoly],
+    int_gens: list[MonoPoly],
     matrix: list[list[int]],
     prime: int,
     target: HilbertSeries | None,
@@ -481,13 +515,17 @@ def _gin_trial(
     n = len(matrix)
     if _rank_mod_p(matrix, prime) != n:
         return None
-    moved = []
-    for p in _substitute(int_gens, matrix):
-        q = {m: c % prime for m, c in p.items() if c % prime}
-        if q:
-            moved.append(q)
     reduce = partial(_reduce_mod, prime=prime)
-    return _leads(_buchberger(moved, reduce, target), n)
+
+    def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal:
+        moved = []
+        for p in _substitute(packed, matrix, packing):
+            q = {m: c % prime for m, c in p.items() if c % prime}
+            if q:
+                moved.append(q)
+        return _leads(_buchberger(moved, reduce, packing, target), packing)
+
+    return _packed_run(int_gens, n, run)
 
 
 def gin(

@@ -116,17 +116,6 @@ class MonomialIdeal:
             ),
         )
 
-    def saturate(self, m: Monomial) -> "MonomialIdeal":
-        """(I : m^inf): iterate variable saturations over supp(m) to a fixed point."""
-        cur = self
-        while True:
-            nxt = cur
-            for i in m.support():
-                nxt = nxt.saturate_variable(i)
-            if nxt == cur:
-                return cur
-            cur = nxt
-
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.ring != other.ring:
             raise ValueError("ideals from different rings")
@@ -228,9 +217,6 @@ class PrimaryDecomposition:
         for _, q in self.components:
             out = out.intersect(q)
         return out
-
-    def associated_supports(self) -> frozenset[frozenset[int]]:
-        return frozenset(s for s, _ in self.components)
 
 
 def _split_once(ideal: MonomialIdeal) -> tuple[Monomial, Monomial] | None:
@@ -423,7 +409,11 @@ def borel_depth(ideal: MonomialIdeal) -> int:
     saturation chain moves."""
     if not ideal.is_proper:
         raise ValueError("depth wants a proper ideal")
-    chain = dimension_filtration(ideal, route="borel")
+    return _chain_depth(ideal, dimension_filtration(ideal, route="borel"))
+
+
+def _chain_depth(ideal: MonomialIdeal, chain: FiltrationChain) -> int:
+    """borel_depth read off the ideal's own saturation chain."""
     for i, q in enumerate(chain.ideals):
         if q != ideal:
             return i

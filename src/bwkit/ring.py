@@ -1,7 +1,7 @@
 """Exact arithmetic core: monomials, polynomials over Q, the one revlex key,
-exact (Bareiss) elimination, the change-of-coordinates kernel, and the
-univariate machinery (Hilbert series, bivariate layer polynomials) everything
-else sits on.
+the packed monomial keys of the Groebner engines, exact (Bareiss)
+elimination, the change-of-coordinates kernel, and the univariate machinery
+(Hilbert series, bivariate layer polynomials) everything else sits on.
 
 Monomial order is graded reverse lexicographic with x1 > x2 > ... > xn:
 higher total degree wins, ties go to the monomial whose last nonzero entry
@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 Exps = tuple[int, ...]
@@ -485,11 +484,57 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def _poly_mul(a: Mapping[Exps, C], b: Mapping[Exps, C]) -> dict[Exps, C]:
-    out: dict[Exps, C] = {}
+class _Packing:
+    """Exponent vectors of n variables packed into one int, W bits a field
+    and x_n in the top field: key(a) = sum_i a_i << W(i-1).
+
+    Products are sums and quotients differences.  Within one degree a
+    smaller key is revlex-greater.  While every exponent is below the limit
+    2^(W-1), g divides m exactly when d = m - g is non-negative with no
+    field's top (guard) bit set, and the degree of a key is the key mod
+    2^W - 1.  W fits the largest degree given, with at least 8 bits."""
+
+    __slots__ = ("n", "width", "field", "limit", "guard")
+
+    def __init__(self, n: int, degree: int):
+        self.n = n
+        self.width = w = max(8, degree.bit_length() + 1)
+        self.field = (1 << w) - 1
+        self.limit = 1 << (w - 1)
+        self.guard = sum(self.limit << (w * i) for i in range(n))
+
+    def pack(self, e: Exps) -> int:
+        w = self.width
+        return sum(x << (w * i) for i, x in enumerate(e))
+
+    def unpack(self, key: int) -> Exps:
+        w, field = self.width, self.field
+        return tuple(key >> (w * i) & field for i in range(self.n))
+
+    def divides(self, g: int, m: int) -> bool:
+        """g | m; the engines inline this test in their inner loops."""
+        q = m - g
+        return q >= 0 and not q & self.guard
+
+    def degree(self, key: int) -> int:
+        """Sum of the fields; exact below 2^W - 1, so for any lcm of two
+        keys of degree below the limit."""
+        return key % self.field
+
+    def lcm(self, a: int, b: int) -> int:
+        # with the guard bits set in a, no field of a - b borrows from the
+        # next, and field i keeps its guard bit exactly when a_i >= b_i
+        keep = ((a | self.guard) - b & self.guard) >> (self.width - 1)
+        mask = keep * self.field
+        return a & mask | b & ~mask
+
+
+def _poly_mul(a: Mapping[int, C], b: Mapping[int, C]) -> dict[int, C]:
+    """Product of two polynomials on packed keys."""
+    out: dict[int, C] = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            key = tuple(map(add, m1, m2))
+            key = m1 + m2
             v = out.get(key, 0) + c1 * c2
             if v:
                 out[key] = v
@@ -499,19 +544,20 @@ def _poly_mul(a: Mapping[Exps, C], b: Mapping[Exps, C]) -> dict[Exps, C]:
 
 
 def _substitute(
-    polys: Sequence[Mapping[Exps, C]], matrix: Sequence[Sequence[C]]
-) -> list[dict[Exps, C]]:
-    """Substitute xi -> sum_j matrix[i][j] * xj in each exponent-tuple
-    polynomial with int or Fraction coefficients; integer input stays
-    integral."""
+    polys: Sequence[Mapping[int, C]],
+    matrix: Sequence[Sequence[C]],
+    packing: _Packing,
+) -> list[dict[int, C]]:
+    """Substitute xi -> sum_j matrix[i][j] * xj in each polynomial on packed
+    keys with int or Fraction coefficients; integer input stays integral.
+    Degrees are kept, so the output fits the packing the input fits."""
     n = len(matrix)
-    one = (0,) * n
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    images = [{units[j]: c for j, c in enumerate(row) if c} for row in matrix]
+    w, field = packing.width, packing.field
+    images = [{1 << (w * j): c for j, c in enumerate(row) if c} for row in matrix]
     # cache linear-form powers; generators reuse the same images repeatedly
-    powers: list[dict[int, dict[Exps, C]]] = [{0: {one: 1}} for _ in range(n)]
+    powers: list[dict[int, dict[int, C]]] = [{0: {0: 1}} for _ in range(n)]
 
-    def power(i: int, e: int) -> dict[Exps, C]:
+    def power(i: int, e: int) -> dict[int, C]:
         cache = powers[i]
         if e not in cache:
             best = max(k for k in cache if k <= e)
@@ -523,10 +569,11 @@ def _substitute(
 
     out = []
     for p in polys:
-        result: dict[Exps, C] = {}
+        result: dict[int, C] = {}
         for m, c in p.items():
-            piece = {one: c}
-            for i, e in enumerate(m):
+            piece = {0: c}
+            for i in range(n):
+                e = m >> (w * i) & field
                 if e:
                     piece = _poly_mul(piece, power(i, e))
             for key, v in piece.items():
@@ -555,8 +602,10 @@ def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]
         scaled.append([int(x * den) for x in row])
     if _rank_int(scaled) != n:
         raise ValueError("change-of-coordinates matrix is singular")
-    (moved,) = _substitute([{m.exponents: c for m, c in f._terms.items()}], rows)
-    return Polynomial(f.ring, {Monomial(e): c for e, c in moved.items()})
+    packing = _Packing(n, f.degree or 0)
+    packed = {packing.pack(m.exponents): c for m, c in f._terms.items()}
+    (moved,) = _substitute([packed], rows, packing)
+    return Polynomial(f.ring, {Monomial(packing.unpack(k)): c for k, c in moved.items()})
 
 
 class UniPoly:

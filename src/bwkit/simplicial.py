@@ -25,6 +25,7 @@ from .ring import Monomial, RingSpec, UniPoly, _rank_int, _rank_mod_p, exponent_
 Face = frozenset[int]
 
 _HOCHSTER_LIMIT = 14  # 2^n subcomplex scans stop being a desk computation
+_FACE_LIMIT = 1 << 18  # faces enumerated one by one
 
 
 class SimplicialComplex:
@@ -46,7 +47,16 @@ class SimplicialComplex:
         for f in cand:
             if not all(1 <= v <= n for v in f):
                 raise ValueError(f"face {sorted(f)} not inside 1..{n}")
-        maximal = {f for f in cand if not any(f < g for g in cand)}
+        # a face can only lie in a strictly larger one: take the faces by
+        # descending size and test each against the kept faces of larger
+        # sizes alone, so a large class of one size costs no pairwise scan
+        maximal: list[Face] = []
+        larger = 0  # maximal[:larger] are larger than the face in hand
+        for f in sorted(cand, key=len, reverse=True):
+            if maximal and len(maximal[-1]) > len(f):
+                larger = len(maximal)
+            if not any(f < g for g in maximal[:larger]):
+                maximal.append(f)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facets", frozenset(maximal))
 
@@ -62,11 +72,15 @@ class SimplicialComplex:
         return self.facets == frozenset((frozenset(),))
 
     def faces(self) -> set[Face]:
+        """Every face; more than _FACE_LIMIT of them is refused up front."""
+        # the largest facet alone has 2^(dim+1) faces
+        _refuse_face_scan(1 << (self.dim + 1))
         out: set[Face] = set()
         for f in self.facets:
             fl = sorted(f)
             for k in range(len(fl) + 1):
                 out.update(frozenset(c) for c in itertools.combinations(fl, k))
+            _refuse_face_scan(len(out))
         return out
 
     def is_face(self, sigma: Iterable[int]) -> bool:
@@ -329,6 +343,11 @@ def reduced_homology_ranks(cpx: SimplicialComplex, p: int | None = None) -> dict
 def _refuse_hochster_scan(n: int) -> None:
     if n > _HOCHSTER_LIMIT:
         raise ValueError(f"restriction scan over 2^{n} subsets refused (n > {_HOCHSTER_LIMIT})")
+
+
+def _refuse_face_scan(count: int) -> None:
+    if count > _FACE_LIMIT:
+        raise ValueError(f"enumeration of {count} faces refused (more than {_FACE_LIMIT})")
 
 
 def graded_betti_hochster(cpx: SimplicialComplex, p: int | None = None) -> BettiTable:

@@ -215,6 +215,14 @@ def test_betti_refuses_large_squarefree_ideal_before_building_its_complex(capsys
     assert "refused (n > 14)" in capsys.readouterr().err
 
 
+def test_h_triangle_refuses_a_large_simplex(capsys, tmp_path):
+    # the 26-simplex has 2^26 faces, refused before any is enumerated
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"n": 26, "facets": [list(range(1, 27))]}))
+    assert main(["h-triangle", "--input", str(path)]) == 2
+    assert "faces refused" in capsys.readouterr().err
+
+
 def test_field_option(capsys, complex_path, ideal_path):
     data = run_json(capsys, ["betti", "--input", complex_path, "--field", "p:7"])
     assert BettiTable.from_json(data).totals() == [1, 7, 11, 6, 1]

@@ -84,6 +84,17 @@ def test_layer_vanishes_iff_chain_stalls():
             assert dec.layer_h[k].is_zero == stalls
 
 
+def test_layer_decomposition_keeps_its_numerators():
+    rng = random.Random(27)
+    for _ in range(30):
+        i = random_monomial_ideal(rng, max_vars=5, max_degree=4, max_gens=5)
+        if not i.is_proper:
+            continue
+        dec = layer_decomposition(i)
+        levels = (i,) + dec.chain.ideals
+        assert [str(hs) for hs in dec.numerators] == [str(hilbert_numerator(q)) for q in levels]
+
+
 def test_layers_add_up_to_hilbert_series():
     rng = random.Random(12)
     for _ in range(100):

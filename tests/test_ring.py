@@ -16,9 +16,11 @@ from bwkit import (
     UniPoly,
     apply_linear_change,
     parse_polynomial,
+    reduced_groebner_basis,
     revlex_compare,
     revlex_key,
 )
+from bwkit.ring import _Packing, exponent_revlex_key
 
 
 def mono(*exps):
@@ -157,6 +159,72 @@ def test_apply_linear_change_composition():
     ba = [[sum(b[i][k] * a[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     f = x1 * x2 + x3 * x3 - x1.scale(3) * x3
     assert apply_linear_change(apply_linear_change(f, b), a) == apply_linear_change(f, ba)
+
+
+# -- packed monomial keys -----------------------------------------------------------
+
+
+@st.composite
+def packed_pair(draw, same_degree=False):
+    """A packing fitting some degree, and two exponent vectors of at most that
+    degree (of one degree when asked)."""
+    n = draw(st.integers(1, 6))
+    degree = draw(st.sampled_from([1, 3, 7, 100, 255, 40000]))
+
+    def exps(total):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+        return tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [total]))
+
+    a = exps(draw(st.integers(0, degree)))
+    b = exps(sum(a) if same_degree else draw(st.integers(0, degree)))
+    return _Packing(n, degree), a, b
+
+
+@given(packed_pair())
+def test_packing_round_trip(case):
+    p, a, b = case
+    assert p.unpack(p.pack(a)) == a
+    assert p.degree(p.pack(a)) == sum(a)
+
+
+@given(packed_pair(same_degree=True))
+def test_packed_order_is_revlex_within_a_degree(case):
+    p, a, b = case
+    # revlex-greater has the smaller key
+    assert (p.pack(a) < p.pack(b)) == (exponent_revlex_key(a) > exponent_revlex_key(b))
+
+
+@given(packed_pair())
+def test_packed_divisibility_product_and_lcm(case):
+    p, a, b = case
+    ka, kb = p.pack(a), p.pack(b)
+    assert p.divides(ka, kb) == all(x <= y for x, y in zip(a, b))
+    assert p.unpack(ka + kb) == tuple(x + y for x, y in zip(a, b))
+    assert p.unpack(p.lcm(ka, kb)) == tuple(map(max, a, b))
+    assert p.degree(p.lcm(ka, kb)) == sum(map(max, a, b))
+
+
+def test_groebner_widens_packing_for_high_degrees():
+    """x1^40000 - x2^40000 needs fields wider than 16 bits, and the basis of
+    two inputs of degree 200 has pairs of degree 300 and exponents of 400,
+    past the 9-bit fields the input degree asks for; both runs must give the
+    right reduced basis."""
+    (g,) = reduced_groebner_basis([x1 ** 40000 - x2 ** 40000])
+    assert g == x1 ** 40000 - x2 ** 40000
+    small = [
+        parse_polynomial(R3, "x1^2 - x1*x3 + x3^2"),
+        parse_polynomial(R3, "-x1*x2 + 2*x1*x3 + 2*x3^2"),
+    ]
+    k = 100
+    assert _Packing(3, 2 * k).limit < 3 * k
+
+    def stretch(f):
+        # x_i -> x_i^k maps a reduced graded revlex basis onto one
+        terms = {Monomial(tuple(k * e for e in m.exponents)): c for m, c in f.terms()}
+        return Polynomial(R3, terms)
+
+    expected = [stretch(h) for h in reduced_groebner_basis(small)]
+    assert list(reduced_groebner_basis([stretch(f) for f in small])) == expected
 
 
 # -- univariate helpers -----------------------------------------------------------

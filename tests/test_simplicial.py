@@ -13,6 +13,7 @@ from bwkit import (
     FTriangle,
     HTriangle,
     LocalCohomologyTable,
+    Monomial,
     MonomialIdeal,
     RingSpec,
     SimplicialComplex,
@@ -39,6 +40,7 @@ from bwkit import (
     stanley_reisner_ideal,
     symmetric_shift,
 )
+from bwkit import simplicial
 from bwkit.monomial import _minimal_transversals
 from bwkit.ring import _rank_int
 from corpus import random_monomial_ideal
@@ -373,6 +375,19 @@ def test_hochster_guard_large_n():
         graded_betti_hochster(big)
 
 
+def test_face_enumeration_refused_past_the_limit(monkeypatch):
+    # one facet of 26 vertices alone has 2^26 faces
+    with pytest.raises(ValueError, match="faces refused"):
+        h_triangle(SimplicialComplex(26, [tuple(range(1, 27))]))
+    monkeypatch.setattr(simplicial, "_FACE_LIMIT", 100)
+    assert len(SimplicialComplex(7, [(1, 2, 3, 4, 5, 6)]).faces()) == 64
+    # two facets of 64 faces each, sharing only the empty face: the running
+    # count refuses what neither facet's size does
+    two = SimplicialComplex(12, [(1, 2, 3, 4, 5, 6), (7, 8, 9, 10, 11, 12)])
+    with pytest.raises(ValueError, match="127 faces refused"):
+        two.faces()
+
+
 def test_local_cohomology_hochster_goldens():
     full = local_cohomology_hochster(cpx(2, (1, 2)))
     assert full.entries == {(2, 2): 1}
@@ -495,3 +510,24 @@ def test_hrw_row_identity_boundary_triangle():
             term = term * UniPoly((-1, 1))
         acc = acc + term
     assert acc == tri.row(2)
+
+
+def test_facet_filter_matches_pairwise_filter():
+    rng = random.Random(6021)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        faces = {
+            frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            for _ in range(rng.randint(1, 12))
+        }
+        pairwise = {f for f in faces if not any(f < g for g in faces)}
+        assert SimplicialComplex(n, faces).facets == pairwise
+
+
+def test_fifteen_disjoint_edges_give_two_to_the_fifteen_facets():
+    gens = [Monomial(tuple(int(v // 2 == k) for v in range(30))) for k in range(15)]
+    facets = complex_of_ideal(MonomialIdeal(RingSpec(30), gens)).facets
+    assert len(facets) == 2**15
+    # each facet picks one vertex of every edge
+    edges = [{2 * k + 1, 2 * k + 2} for k in range(15)]
+    assert all(len(f) == 15 and all(len(f & e) == 1 for e in edges) for f in facets)
