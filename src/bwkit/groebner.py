@@ -139,7 +139,8 @@ def _reduce_full(p: IntPoly, basis: Sequence[_Basis], guard: int) -> IntPoly:
     rem: IntPoly = {}
     while heap:
         m = heapq.heappop(heap)
-        c = work.pop(m, 0)
+        # a popped key never comes back: every update lands below it in revlex
+        c = work.pop(m)
         if not c:
             continue
         for g in basis:
@@ -161,11 +162,7 @@ def _reduce_full(p: IntPoly, basis: Sequence[_Basis], guard: int) -> IntPoly:
                         work[key] = -b * ct
                         heapq.heappush(heap, key)
                     else:
-                        v = prev - b * ct
-                        if v:
-                            work[key] = v
-                        else:
-                            del work[key]
+                        work[key] = prev - b * ct
                 break
         else:
             rem[m] = c
@@ -181,8 +178,7 @@ def _reduce_mod(p: IntPoly, basis: Sequence[_Basis], guard: int, prime: int) -> 
     rem: IntPoly = {}
     while heap:
         m = heapq.heappop(heap)
-        # terms are reduced mod prime only here: a popped key never comes
-        # back, since every update lands below it in revlex
+        # a popped key never comes back, so terms are reduced mod prime here
         c = work.pop(m) % prime
         if not c:
             continue
