@@ -29,8 +29,9 @@ degree.  Both are exact: the leads lie in the initial ideal of the moved
 ideal mod p, whose Hilbert function is at least the target's in every
 degree.  A round certifies when its two trials agree, the result is
 strongly stable and its Hilbert series equals the target; a matrix singular
-mod its prime fails the round.  Otherwise B doubles, up to five rounds,
-after which NotCertified is raised.  Same seed, same answer, always.
+mod its prime (as is any matrix singular over Q) fails the round.  Otherwise
+B doubles, up to five rounds, after which NotCertified is raised.  Same seed,
+same answer, always.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .ring import (
     Polynomial,
     RingSpec,
     _Packing,
-    _rank_int,
     _rank_mod_p,
     _substitute,
     require_int,
@@ -475,10 +475,9 @@ _PRIMES = tuple(2**31 - d for d in (1, 19, 61, 69, 85, 99, 105, 151, 159, 171))
 
 
 def _draw_matrix(rng: random.Random, n: int, bound: int) -> list[list[int]]:
-    while True:
-        m = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        if _rank_int(m) == n:
-            return m
+    """Entries uniform in [-bound, bound].  A singular draw is left to
+    _gin_trial, which refuses it mod every prime."""
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
 def _leads(G: Sequence[_Basis], packing: _Packing) -> MonomialIdeal:
@@ -536,35 +535,40 @@ def gin(
     the trials of every round run.  Deterministic in (generators, seed).
     """
     if isinstance(gens, MonomialIdeal):
-        ring = gens.ring
-        polys = [Polynomial.from_monomial(ring, g) for g in gens.sorted_gens()]
         if gens.is_zero:
             return GinResult(gens, seed, 0, True)
+        n = gens.ring.n
+        key: tuple = (seed, gens)
     else:
         ring, polys = _check_inputs(gens)
-
-    key = (
-        ring.n,
-        seed,
-        tuple(
-            sorted(
-                tuple(sorted((m.exponents, c) for m, c in f.terms()))
-                for f in polys
-            )
-        ),
-    )
+        n = ring.n
+        key = (
+            n,
+            seed,
+            tuple(
+                sorted(
+                    tuple(sorted((m.exponents, c) for m, c in f.terms()))
+                    for f in polys
+                )
+            ),
+        )
     hit = _GIN_MEMO.get(key)
     if hit is not None:
         return hit
 
-    int_gens = [_to_int_poly(f) for f in polys]
-    target = _gin_target(gens, int_gens, ring.n)
+    # a monomial generator is already a primitive integer polynomial
+    int_gens = (
+        [{g: 1} for g in gens.sorted_gens()]
+        if isinstance(gens, MonomialIdeal)
+        else [_to_int_poly(f) for f in polys]
+    )
+    target = _gin_target(gens, int_gens, n)
     rng = random.Random(seed)
     bound = 10**4
     for r in range(5):
         # both matrices are drawn whatever the first trial gives, so the
         # stream a round consumes depends on the seed alone
-        matrices = [_draw_matrix(rng, ring.n, bound) for _ in range(2)]
+        matrices = [_draw_matrix(rng, n, bound) for _ in range(2)]
         first = _gin_trial(int_gens, matrices[0], _PRIMES[2 * r], target)
         if first is not None:
             second = _gin_trial(int_gens, matrices[1], _PRIMES[2 * r + 1], target)

@@ -4,7 +4,10 @@ a Koszul-complex computation of graded Betti numbers, and scans over all 2^n
 vertex subsets for the Krull dimension and the Stanley-Reisner bridge.
 
 Everything here is deliberately naive and separate from the library's
-algorithms; only container types are shared.
+algorithms; only container types are shared.  The one exception is the
+reference for scm_check's criteria battery, which is built from the library's
+own gin, filtration and Hilbert numerator but recomputes every one of them at
+every level of the chain, as the battery once did.
 """
 
 from __future__ import annotations
@@ -13,7 +16,17 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from bwkit import Monomial, MonomialIdeal, Polynomial, RingSpec, SimplicialComplex
+from bwkit import (
+    Monomial,
+    MonomialIdeal,
+    Polynomial,
+    RingSpec,
+    SimplicialComplex,
+    borel_depth,
+    dimension_filtration,
+    gin,
+    hilbert_numerator,
+)
 
 
 def monomials_of_degree(n: int, k: int) -> list[tuple[int, ...]]:
@@ -182,3 +195,43 @@ def scan_complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
         if not any(sup <= set(cand) for sup in supports)
     ]
     return SimplicialComplex(n, faces)
+
+
+def battery_per_level(ideal: MonomialIdeal, seed: int) -> list[dict]:
+    """scm_check's criteria, as JSON, with gin, the saturation chain, the
+    depth and the Hilbert numerators recomputed at every level i < d."""
+    chain_in = dimension_filtration(ideal)
+    chain_g = dimension_filtration(gin(ideal, seed=seed).ideal, route="borel")
+    found: dict[str, tuple[int, str]] = {}
+
+    def miss(name: str, i: int, detail: str):
+        found.setdefault(name, (i, detail))
+
+    for i in range(chain_in.d):
+        level = gin(chain_in.ideals[i], seed=seed).ideal
+        swapped = chain_g.ideals[i]
+        depth = borel_depth(level)
+        if depth < i + 1:
+            miss("depth", i, f"depth {depth} < {i + 1}")
+        own = dimension_filtration(level, route="borel").ideals[i]
+        if level != own:
+            miss("gin-chain-stable", i, f"{level} vs {own}")
+        if level != swapped:
+            miss("gin-chain-swap", i, f"{level} vs {swapped}")
+        hs_level = hilbert_numerator(level)
+        hs_swapped = hilbert_numerator(swapped)
+        if hs_level != hs_swapped:
+            miss("hilbert-gin-pair", i, f"{hs_level} vs {hs_swapped}")
+        hs_input = hilbert_numerator(chain_in.ideals[i])
+        if hs_input != hs_swapped:
+            miss("hilbert-input-pair", i, f"{hs_input} vs {hs_swapped}")
+    names = ("depth", "gin-chain-stable", "gin-chain-swap", "hilbert-gin-pair", "hilbert-input-pair")
+    return [
+        {
+            "name": name,
+            "holds": name not in found,
+            "witness_index": found[name][0] if name in found else None,
+            "detail": found[name][1] if name in found else "",
+        }
+        for name in names
+    ]

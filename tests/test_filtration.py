@@ -3,11 +3,13 @@ verdicts, and local cohomology through the dimension filtration."""
 
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
 from bwkit import (
     BWPolynomial,
+    Monomial,
     MonomialIdeal,
     NotSCM,
     RingSpec,
@@ -16,6 +18,7 @@ from bwkit import (
     betti_eliahou_kervaire,
     bw_from_complex,
     bw_polynomial,
+    dimension_filtration,
     extremal_from_bw,
     gin,
     h_polynomial,
@@ -26,7 +29,9 @@ from bwkit import (
     scm_check,
     stanley_reisner_ideal,
 )
-from corpus import random_monomial_ideal, random_stable_ideal
+from bwkit import filtration
+from corpus import random_complexes_67, random_monomial_ideal, random_stable_ideal
+from oracles import battery_per_level, monomials_of_degree
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -200,6 +205,86 @@ def test_scm_check_report_json():
 def test_scm_check_skips_battery_on_request():
     report = scm_check(worked_example_ideal(), seed=0, full_battery=False)
     assert not report.scm and report.criteria == ()
+
+
+def repeating_chain_ideal():
+    """(x1) cap (x2, x3, x4) in five variables: its chain is I, I, (x1), (x1), <1>."""
+    return ideal(RingSpec(5), (1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0))
+
+
+def _battery_inputs():
+    """SR ideals of random complexes (some not SCM), and random ideals of
+    which every third is cut by a power of m (depth zero, an embedded
+    m-primary component) and every third made m-primary; plus the zero
+    ideal."""
+    rng = random.Random(77)
+    out = [worked_example_ideal(), repeating_chain_ideal(), MonomialIdeal.zero(R3)]
+    out += [stanley_reisner_ideal(c) for c in random_complexes_67(30, seed=5)]
+    for k in range(90):
+        i = random_monomial_ideal(rng, max_vars=5, max_degree=3, max_gens=4)
+        n = i.ring.n
+        if k % 3 == 1:
+            top = max(g.degree for g in i.gens)
+            i = i.intersect(ideal(i.ring, *monomials_of_degree(n, top + 1)))
+        elif k % 3 == 2:
+            i = i.plus(Monomial(tuple(3 * (j == v) for j in range(n))) for v in range(n))
+        if i.is_proper:
+            out.append(i)
+    return out
+
+
+def test_scm_check_battery_matches_per_level_reference():
+    """Each distinct level evaluated once gives the same verdicts, witness
+    indices and details as evaluating every level afresh."""
+    kinds = Counter()
+    for k, i in enumerate(_battery_inputs()):
+        report = scm_check(i, seed=k % 3)
+        assert report.to_json()["criteria"] == battery_per_level(i, k % 3)
+        chain = dimension_filtration(i)
+        kinds["not scm"] += not report.scm
+        kinds["embedded m-primary"] += 0 < chain.d and chain.ideals[0] != i
+        kinds["m-primary"] += chain.d == 0
+        kinds["zero"] += i.is_zero
+        kinds["repeat above I"] += any(
+            chain.ideals[j] == chain.ideals[j - 1] != i for j in range(1, chain.d)
+        )
+    assert min(kinds.values()) > 0 and len(kinds) == 5, kinds
+
+
+def test_scm_check_evaluates_each_distinct_level_once(monkeypatch):
+    """On the chain I, I, J, J, <1> the battery gins I and J once each and
+    filters each gin once, and the layer decomposition takes one Hilbert
+    numerator per distinct ideal."""
+    i = repeating_chain_ideal()
+    j = ideal(RingSpec(5), (1, 0, 0, 0, 0))
+    assert dimension_filtration(i).ideals[:4] == (i, i, j, j)
+    gins, borel, numerators = Counter(), Counter(), Counter()
+    real_gin, real_filtration = filtration.gin, filtration.dimension_filtration
+    real_numerator = filtration.hilbert_numerator
+
+    def counted_gin(q, seed=0):
+        gins[q] += 1
+        return real_gin(q, seed=seed)
+
+    def counted_filtration(q, route="decomposition"):
+        if route == "borel":
+            borel[q] += 1
+        return real_filtration(q, route=route)
+
+    def counted_numerator(q):
+        numerators[q] += 1
+        return real_numerator(q)
+
+    monkeypatch.setattr(filtration, "gin", counted_gin)
+    monkeypatch.setattr(filtration, "dimension_filtration", counted_filtration)
+    report = scm_check(i, seed=0)
+    assert report.scm
+    assert gins == {i: 1, j: 1}
+    assert borel == {gin(i, seed=0).ideal: 1, gin(j, seed=0).ideal: 1}
+
+    monkeypatch.setattr(filtration, "hilbert_numerator", counted_numerator)
+    layer_decomposition(i)
+    assert numerators == {i: 1, j: 1, MonomialIdeal.unit(i.ring): 1}
 
 
 # -- local cohomology through the filtration ----------------------------------------

@@ -347,6 +347,20 @@ def test_gin_records_the_rounds_run(monkeypatch):
     assert calls == list(groebner._PRIMES[:4])
 
 
+def test_gin_of_a_monomial_ideal_builds_no_polynomial(monkeypatch):
+    """A monomial ideal goes to the trials and to the memo as it is; a second
+    gin of an equal ideal is the memoised result."""
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+
+    def refuse(*args):
+        raise AssertionError("gin built a polynomial from a monomial ideal")
+
+    monkeypatch.setattr(groebner.Polynomial, "from_monomial", refuse)
+    first = gin(worked_example_ideal(), seed=0)
+    assert first.ideal == worked_example_gin()
+    assert gin(worked_example_ideal(), seed=0) is first
+
+
 def test_gin_result_from_json_rejects_non_integers():
     good = gin(worked_example_ideal(), seed=0).to_json()
     for field, bad in [("seed", 1.0), ("trials", "2"), ("trials", True), ("borel_certified", 1)]:
