@@ -225,7 +225,13 @@ def battery_per_level(ideal: MonomialIdeal, seed: int) -> list[dict]:
         hs_input = hilbert_numerator(chain_in.ideals[i])
         if hs_input != hs_swapped:
             miss("hilbert-input-pair", i, f"{hs_input} vs {hs_swapped}")
-    names = ("depth", "gin-chain-stable", "gin-chain-swap", "hilbert-gin-pair", "hilbert-input-pair")
+    names = (
+        "depth",
+        "gin-chain-stable",
+        "gin-chain-swap",
+        "hilbert-gin-pair",
+        "hilbert-input-pair",
+    )
     return [
         {
             "name": name,
