@@ -1,10 +1,12 @@
 """Monomial ideal algebra: generators, colon/saturation, intersections,
-primary decomposition, Krull dimension, Hilbert numerators and the dimension
-filtration.
+irreducible and primary decomposition, Krull dimension, Hilbert numerators and
+the dimension filtration.
 
 The dimension filtration of R/I is the chain I^<0> <= I^<1> <= ... <= I^<d>,
 where I^<i> is the intersection of the primary components whose quotient has
-dimension strictly greater than i (empty intersection = <1>).  Writing
+dimension strictly greater than i (empty intersection = <1>), that is of the
+irreducible components m^b = (x_i^{b_i} : b_i > 0) of dimension > i; the
+irredundant irreducible decomposition of I is unique.  Writing
 I^<-1> = I, the successive quotients U_i = I^<i>/I^<i-1> are zero or
 i-dimensional; U_0 can be nonzero (it is the finite-length part), so I^<0> = I
 exactly when R/I has positive depth.  For strongly stable ideals the same
@@ -219,66 +221,64 @@ class PrimaryDecomposition:
         return out
 
 
-def _split_once(ideal: MonomialIdeal) -> tuple[Monomial, Monomial] | None:
-    """First splittable generator (lex order on exponent vectors), split at its
-    first support variable; None when all generators are pure powers."""
-    for g in sorted(ideal.gens, key=lambda m: m.exponents):
-        sup = g.support()
-        if len(sup) >= 2:
-            v = sup[0]
-            e = [0] * len(g.exponents)
-            e[v - 1] = g.exponents[v - 1]
-            u = Monomial(tuple(e))
-            return u, g.quotient(u)
-    return None
+def _irreducible_components(ideal: MonomialIdeal) -> list[Exps]:
+    """The irredundant irreducible decomposition I = cap m^b, as the vectors b.
 
-
-def _irreducible_components(ideal: MonomialIdeal, memo: dict) -> frozenset[MonomialIdeal]:
-    if ideal in memo:
-        return memo[ideal]
-    split = _split_once(ideal)
-    if split is None:
-        out = frozenset((ideal,))
-    else:
-        u, v = split
-        out = _irreducible_components(ideal.plus((u,)), memo) | _irreducible_components(
-            ideal.plus((v,)), memo
+    Polarizing x_i^a to the bits (i, 1..r), r the rank of a among the x_i-
+    exponents of the generators, each minimal transversal, its bit (i, r)
+    read back as x_i^a, is an m^b containing I.  Together they cut out I; the
+    components are the m^b containing no other one.
+    """
+    n = ideal.ring.n
+    gens = [g.exponents for g in ideal.gens]
+    levels = [sorted({e[k] for e in gens} - {0}) for k in range(n)]
+    rank = [{a: r for r, a in enumerate(col, 1)} for col in levels]
+    offset = list(itertools.accumulate(map(len, levels), initial=0))
+    bits = [(k, a) for k, col in enumerate(levels) for a in col]
+    edges = [sum(((1 << rank[k][a]) - 1) << offset[k] for k, a in enumerate(e) if a) for e in gens]
+    masks = {}
+    for t in _minimal_transversals(edges):
+        # one bit per variable at most: an edge holding (i, r) holds (i, r - 1)
+        b = [0] * n
+        for j in range(t.bit_length()):
+            if t >> j & 1:
+                k, a = bits[j]
+                b[k] = a
+        masks[tuple(b)] = exponent_mask(b)
+    # m^c <= m^b exactly when supp c <= supp b and b_i <= c_i on supp c
+    return [
+        b
+        for b, s in masks.items()
+        if not any(
+            t & s == t and c != b and all(not y or x <= y for x, y in zip(b, c))
+            for c, t in masks.items()
         )
-    memo[ideal] = out
-    return out
+    ]
+
+
+def _pure_powers(b: Exps) -> list[Monomial]:
+    """The generators x_i^{b_i} (b_i > 0) of m^b."""
+    zero = (0,) * len(b)
+    return [Monomial(zero[:k] + (x,) + zero[k + 1:]) for k, x in enumerate(b) if x]
 
 
 def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
-    """Reduced primary decomposition by recursive coprime splitting.
-
-    Irreducible pieces are grouped by radical support and intersected, then
-    redundant components are dropped.  Deterministic for a given input.
-    """
+    """Reduced primary decomposition over the supports P of the irreducible
+    components, ordered by height, each with its canonical P-primary component
+    (I : (prod_{j not in P} x_j)^inf) + (x_j^{N_j} : j in P), N_j the largest
+    x_j-exponent of a generator; it lies in every m^b supported on P."""
     if ideal.is_unit or ideal.is_zero:
         raise ValueError("primary decomposition wants a proper nonzero ideal")
-    groups: dict[frozenset[int], list[MonomialIdeal]] = {}
-    for q in _irreducible_components(ideal, {}):
-        groups.setdefault(q.support(), []).append(q)
-    supports = sorted(groups, key=lambda s: (len(s), sorted(s)))
-    # drop components containing the intersection of the others.  An
-    # irreducible monomial ideal contains an intersection of monomial ideals
-    # only if it contains one of them, so a component is redundant exactly
-    # when each of its irreducible pieces contains a piece of another one.
-    changed = True
-    while changed and len(supports) > 1:
-        changed = False
-        for k, s in enumerate(supports):
-            others = [q for t in supports if t != s for q in groups[t]]
-            if all(any(p.contains_ideal(q) for q in others) for p in groups[s]):
-                del supports[k]
-                changed = True
-                break
+    ring = ideal.ring
+    gens = [g.exponents for g in ideal.gens]
+    top = [max(col) for col in zip(*gens)]
+    supports = {frozenset(k + 1 for k, x in enumerate(b) if x) for b in _irreducible_components(ideal)}
     comps = []
-    for s in supports:
-        comp, *rest = groups[s]
-        for q in rest:
-            comp = comp.intersect(q)
-        comps.append((s, comp))
+    for s in sorted(supports, key=lambda s: (len(s), sorted(s))):
+        keep = [k + 1 in s for k in range(ring.n)]
+        saturated = (Monomial(tuple(x if p else 0 for x, p in zip(e, keep))) for e in gens)
+        powers = _pure_powers(tuple(x if p else 0 for x, p in zip(top, keep)))
+        comps.append((s, MonomialIdeal(ring, itertools.chain(saturated, powers))))
     return PrimaryDecomposition(ideal, tuple(comps))
 
 
@@ -367,7 +367,7 @@ class FiltrationChain:
 
 
 def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> FiltrationChain:
-    """The chain I^<i> = intersection of primary components of dimension > i.
+    """The chain I^<i> = intersection of irreducible components of dimension > i.
 
     route="borel" computes the same chain for strongly stable ideals by
     successive saturations I^<i> = (I^<i-1> : x_{n-i}^inf), seeded at I.
@@ -381,14 +381,14 @@ def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> 
     if ideal.is_zero:
         return FiltrationChain(d, tuple([ideal] * n + [unit]))
     if route == "decomposition":
-        # top-down: I^<i> = I^<i+1> cap (components of dimension i+1)
-        decomp = primary_decomposition(ideal)
+        # top-down: I^<i> = I^<i+1> cap (irreducible components of dimension i+1)
+        comps = _irreducible_components(ideal)
         ideals = [unit]
         for i in range(d - 1, -1, -1):
             cur = ideals[-1]
-            for s, q in decomp.components:
-                if n - len(s) == i + 1:
-                    cur = cur.intersect(q)
+            for b in comps:
+                if b.count(0) == i + 1:
+                    cur = cur.intersect(MonomialIdeal(ring, _pure_powers(b)))
             ideals.append(cur)
         return FiltrationChain(d, tuple(reversed(ideals)))
     if route == "borel":

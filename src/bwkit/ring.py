@@ -148,9 +148,6 @@ class Monomial:
     def gcd(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def coprime(self, other: "Monomial") -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self.exponents, other.exponents))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exponents == other.exponents
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values: standard
 monomial counting (monomial and polynomial ideals), exact matrix rank over Q,
-a Koszul-complex computation of graded Betti numbers, and scans over all 2^n
-vertex subsets for the Krull dimension and the Stanley-Reisner bridge.
+a Koszul-complex computation of graded Betti numbers, scans over all 2^n
+vertex subsets for the Krull dimension and the Stanley-Reisner bridge, and
+the irreducible decomposition by recursive splitting of generators.
 
 Everything here is deliberately naive and separate from the library's
 algorithms; only container types are shared.  The one exception is the
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
+from operator import le
 
 from bwkit import (
     Monomial,
@@ -195,6 +197,41 @@ def scan_complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
         if not any(sup <= set(cand) for sup in supports)
     ]
     return SimplicialComplex(n, faces)
+
+
+def split_irreducible_components(ideal: MonomialIdeal) -> set[tuple[int, ...]]:
+    """The irredundant irreducible decomposition I = cap m^b, as the vectors b
+    with m^b = (x_i^{b_i} : b_i > 0), by recursive splitting: a generator
+    u * v with u = x_k^{a_k} its first variable's power splits J into
+    (J + u) cap (J + v), until every generator is a pure power.  The pieces
+    are redundant in general; only those containing no other piece are kept.
+    """
+    n = ideal.ring.n
+
+    def minimal(gens):
+        return frozenset(
+            g for g in gens if not any(h != g and all(map(le, h, g)) for h in gens)
+        )
+
+    def pieces(gens: frozenset, memo: dict) -> set:
+        if gens not in memo:
+            for g in sorted(gens):
+                sup = [k for k, x in enumerate(g) if x]
+                if len(sup) >= 2:
+                    u = tuple(x if k == sup[0] else 0 for k, x in enumerate(g))
+                    v = tuple(0 if k == sup[0] else x for k, x in enumerate(g))
+                    memo[gens] = pieces(minimal(gens | {u}), memo) | pieces(minimal(gens | {v}), memo)
+                    break
+            else:  # pure powers: J is m^b itself
+                memo[gens] = {tuple(map(sum, zip((0,) * n, *gens)))}
+        return memo[gens]
+
+    found = pieces(minimal({g.exponents for g in ideal.gens}), {})
+
+    def inside(c, b):  # m^c <= m^b
+        return all(not y or (x and x <= y) for x, y in zip(b, c))
+
+    return {b for b in found if not any(c != b and inside(c, b) for c in found)}
 
 
 def battery_per_level(ideal: MonomialIdeal, seed: int) -> list[dict]:

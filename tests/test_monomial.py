@@ -23,8 +23,9 @@ from bwkit import (
     krull_dimension,
     primary_decomposition,
 )
+from bwkit.monomial import _irreducible_components, _minimal_transversals
 from corpus import borel_closure, random_monomial_ideal, random_stable_ideal
-from oracles import koszul_betti_table, standard_monomial_counts
+from oracles import koszul_betti_table, split_irreducible_components, standard_monomial_counts
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -34,6 +35,17 @@ R6 = RingSpec(6)
 
 def ideal(ring, *exps):
     return MonomialIdeal.from_exponents(ring, exps)
+
+
+def relabel(i, perm):
+    """The ideal with x_{k+1} renamed x_{perm[k]+1}."""
+    moved = []
+    for g in i.gens:
+        e = [0] * i.ring.n
+        for k, x in enumerate(g.exponents):
+            e[perm[k]] = x
+        moved.append(e)
+    return MonomialIdeal.from_exponents(i.ring, moved)
 
 
 def worked_example_ideal():
@@ -159,6 +171,62 @@ def test_decomposition_random_intersection():
                 if j != k:
                     rest = rest.intersect(other)
             assert not q.contains_ideal(rest)
+
+    # the decomposition is a function of the ideal: renaming the variables
+    # renames the components, whatever order the variables come in
+    def components(i):
+        return {q for _, q in primary_decomposition(i).components}
+
+    i = ideal(R3, (2, 2, 2), (1, 2, 3), (0, 3, 1))
+    assert components(relabel(i, (2, 1, 0))) == {relabel(q, (2, 1, 0)) for q in components(i)}
+    checked = 0
+    for _ in range(120):
+        n = rng.randint(2, 4)
+        gens = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(2, 4))]
+        i = MonomialIdeal.from_exponents(RingSpec(n), gens)
+        if not i.is_proper or i.is_zero:
+            continue
+        comps = components(i)
+        for perm in itertools.permutations(range(n)):
+            assert components(relabel(i, perm)) == {relabel(q, perm) for q in comps}, (i, perm)
+        checked += 1
+    assert checked > 100
+
+
+def test_irreducible_components_match_splitting_reference():
+    rng = random.Random(5)
+    for _ in range(150):
+        i = random_monomial_ideal(rng, max_vars=5, max_degree=5, max_gens=6)
+        if not i.is_proper:
+            continue
+        comps = _irreducible_components(i)
+        assert len(comps) == len(set(comps))
+        assert set(comps) == split_irreducible_components(i), i
+    # distinct exponents are ranked, not unrolled: these stay instant
+    for i in (
+        ideal(RingSpec(1), (40000,)),
+        ideal(R2, (300, 0), (1, 300)),
+        ideal(R3, (60, 50, 0), (70, 0, 40), (0, 80, 90)),
+    ):
+        assert set(_irreducible_components(i)) == split_irreducible_components(i)
+    assert sorted(_irreducible_components(ideal(R2, (300, 0), (1, 300)))) == [(1, 0), (300, 300)]
+
+
+def test_decomposition_of_path_edge_ideal():
+    """The edge ideal of the 16-vertex path is squarefree, so its components
+    are the primes of its 86 minimal vertex covers and I^<0> = I."""
+    n = 16
+    edges = [(1 << k) | (1 << (k + 1)) for k in range(n - 1)]
+    i = ideal(RingSpec(n), *(tuple(e >> k & 1 for k in range(n)) for e in edges))
+    decomp = primary_decomposition(i)
+    covers = _minimal_transversals(edges)
+    assert len(decomp.components) == len(covers) == 86
+    assert {sum(1 << (v - 1) for v in s) for s, _ in decomp.components} == set(covers)
+    for s, q in decomp.components:
+        assert q == ideal(RingSpec(n), *(tuple(int(k + 1 == v) for k in range(n)) for v in s))
+    chain = dimension_filtration(i)
+    assert chain.d == n - min(map(int.bit_count, covers)) == 8
+    assert chain.ideals[0] == i
 
 
 def test_decomposition_rejects_trivial():
