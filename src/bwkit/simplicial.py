@@ -7,20 +7,21 @@ Cohen-Macaulayness oracle, and the symmetric algebraic shift.
 Minimal non-faces and the facets of the complex of a squarefree ideal come
 from minimal transversals of vertex bitmasks, never from subset scans.
 
-Homology is computed over Q by default (fraction-free integer elimination)
-or over a prime field when a prime is supplied.
+Homology is computed on faces stored as vertex bitmasks, over Q by default
+or over a prime field when a prime is supplied: each boundary map is a list of
+sparse rows of +-1, ranked by elimination on leading columns that keeps the
+rows integral over Q (so the rank is exact) and runs mod p over F_p.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Mapping, Sequence
+from math import comb, gcd
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
-from .ring import Monomial, RingSpec, UniPoly, _rank_int, _rank_mod_p, exponent_mask, require_int
+from .ring import Monomial, RingSpec, UniPoly, exponent_mask, require_int
 
 Face = frozenset[int]
 
@@ -73,15 +74,7 @@ class SimplicialComplex:
 
     def faces(self) -> set[Face]:
         """Every face; more than _FACE_LIMIT of them is refused up front."""
-        # the largest facet alone has 2^(dim+1) faces
-        _refuse_face_scan(1 << (self.dim + 1))
-        out: set[Face] = set()
-        for f in self.facets:
-            fl = sorted(f)
-            for k in range(len(fl) + 1):
-                out.update(frozenset(c) for c in itertools.combinations(fl, k))
-            _refuse_face_scan(len(out))
-        return out
+        return {frozenset(_vertices(f)) for f in _face_masks(self)}
 
     def is_face(self, sigma: Iterable[int]) -> bool:
         s = frozenset(sigma)
@@ -201,10 +194,11 @@ class HTriangle(_Triangle):
 
 def f_triangle(cpx: SimplicialComplex) -> FTriangle:
     d = cpx.dim + 1
+    facets = [_mask(f) for f in cpx.facets]
     entries: dict[tuple[int, int], int] = {}
-    for sigma in cpx.faces():
-        i = face_degree(cpx, sigma)
-        key = (i, len(sigma))
+    for sigma in _face_masks(cpx):
+        i = max(g.bit_count() for g in facets if g & sigma == sigma)  # face_degree
+        key = (i, sigma.bit_count())
         entries[key] = entries.get(key, 0) + 1
     return FTriangle(d, entries)
 
@@ -241,11 +235,20 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def minimal_nonfaces(cpx: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Minimal sets in no facet: minimal transversals of the facets' complements."""
+def _mask(face: Iterable[int]) -> int:
+    return sum(1 << (v - 1) for v in face)
+
+
+def _nonface_masks(cpx: SimplicialComplex) -> list[int]:
+    """Minimal sets in no facet, as bitmasks: minimal transversals of the
+    facets' complements."""
     ground = (1 << cpx.n) - 1
-    nonfaces = _minimal_transversals(ground ^ sum(1 << (v - 1) for v in f) for f in cpx.facets)
-    return sorted(map(_vertices, nonfaces), key=lambda t: (len(t), t))
+    return _minimal_transversals(ground ^ _mask(f) for f in cpx.facets)
+
+
+def minimal_nonfaces(cpx: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Minimal sets in no facet, by size and then lexicographically."""
+    return sorted(map(_vertices, _nonface_masks(cpx)), key=lambda t: (len(t), t))
 
 
 def stanley_reisner_ideal(cpx: SimplicialComplex) -> MonomialIdeal:
@@ -299,8 +302,105 @@ def induced_subcomplex(cpx: SimplicialComplex, w: Iterable[int]) -> SimplicialCo
 # -- exact homology -------------------------------------------------------------
 
 
-def _matrix_rank(rows: list[list[int]], p: int | None) -> int:
-    return _rank_int(rows) if p is None else _rank_mod_p(rows, p)
+def _face_masks(cpx: SimplicialComplex) -> set[int]:
+    """Every face as a vertex bitmask; more than _FACE_LIMIT is refused up front."""
+    # the largest facet alone has 2^(dim+1) faces
+    _refuse_face_scan(1 << (cpx.dim + 1))
+    out: set[int] = set()
+    for facet in cpx.facets:
+        top = sub = _mask(facet)
+        while True:  # the submasks of top, in decreasing order
+            out.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & top
+        _refuse_face_scan(len(out))
+    return out
+
+
+def _levels(faces: Iterable[int]) -> list[list[int]]:
+    """Faces grouped by size: levels[k] holds the faces of k vertices, in
+    increasing order (which keeps the fill-in of the rank elimination low)."""
+    levels: list[list[int]] = []
+    for f in sorted(faces):
+        k = f.bit_count()
+        while len(levels) <= k:
+            levels.append([])
+        levels[k].append(f)
+    return levels
+
+
+def _sparse_rank(rows: Iterable[Mapping[int, int]], p: int | None) -> int:
+    """Rank over Q (p None) or F_p of sparse rows {column: entry}.
+
+    A row's leading column is its largest.  Each row is reduced against the
+    pivot stored for its leading column until it has a new leading column or
+    vanishes.  Over Q pivots lead with a positive entry a, and the step is
+    r <- a*r - b*pivot followed by division by the content of r, so rows stay
+    integral and small; over F_p the pivots are monic and r <- r - b*pivot.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for given in rows:
+        if p is None:
+            row = {c: v for c, v in given.items() if v}
+        else:
+            row = {c: v % p for c, v in given.items() if v % p}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p is not None:
+                    inv = pow(row[lead], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                elif row[lead] < 0:
+                    row = {c: -v for c, v in row.items()}
+                pivots[lead] = row
+                break
+            b = row[lead]
+            if p is None:
+                a = pivot[lead]
+                if a != 1:
+                    row = {c: a * v for c, v in row.items()}
+                for c, v in pivot.items():
+                    x = row.get(c, 0) - b * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
+            else:
+                for c, v in pivot.items():
+                    x = (row.get(c, 0) - b * v) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+    return len(pivots)
+
+
+def _reduced_homology(levels: list[list[int]], p: int | None) -> dict[int, int]:
+    """dim H~_{k-1} for k = 0..len(levels)-1, over Q or F_p, of the complex
+    whose faces of k vertices are levels[k] (closed under subsets, so
+    levels[0] == [0], and no level empty)."""
+    ranks = [0]
+    for k in range(1, len(levels)):
+        column = {f: c for c, f in enumerate(levels[k - 1])}
+        rows = []
+        for f in levels[k]:
+            row = {}
+            sign = 1
+            rest = f
+            while rest:  # drop the vertices of f in increasing order
+                low = rest & -rest
+                row[column[f ^ low]] = sign
+                sign = -sign
+                rest ^= low
+            rows.append(row)
+        ranks.append(_sparse_rank(rows, p))
+    ranks.append(0)
+    return {k - 1: len(level) - ranks[k] - ranks[k + 1] for k, level in enumerate(levels)}
 
 
 def reduced_homology_ranks(cpx: SimplicialComplex, p: int | None = None) -> dict[int, int]:
@@ -308,33 +408,7 @@ def reduced_homology_ranks(cpx: SimplicialComplex, p: int | None = None) -> dict
 
     The empty complex has a single unit in degree -1.
     """
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for f in cpx.faces():
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    for k in by_dim:
-        by_dim[k].sort()
-    top = cpx.dim
-    boundary_rank: dict[int, int] = {}
-    for i in range(0, top + 1):
-        lower = by_dim.get(i - 1, [])
-        upper = by_dim.get(i, [])
-        if not lower or not upper:
-            boundary_rank[i] = 0
-            continue
-        index = {f: k for k, f in enumerate(lower)}
-        rows = []
-        for f in upper:
-            row = [0] * len(lower)
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                row[index[sub]] = (-1) ** pos
-            rows.append(row)
-        boundary_rank[i] = _matrix_rank(rows, p)
-    out = {}
-    for i in range(-1, top + 1):
-        ci = len(by_dim.get(i, []))
-        out[i] = ci - boundary_rank.get(i, 0) - boundary_rank.get(i + 1, 0)
-    return out
+    return _reduced_homology(_levels(_face_masks(cpx)), p)
 
 
 # -- Hochster formulas ----------------------------------------------------------
@@ -351,17 +425,31 @@ def _refuse_face_scan(count: int) -> None:
 
 
 def graded_betti_hochster(cpx: SimplicialComplex, p: int | None = None) -> BettiTable:
-    """beta_{i,j}(k[Delta]) = sum over |W| = j of dim H~_{j-i-1}(Delta_W)."""
+    """beta_{i,j}(k[Delta]) = sum over |W| = j of dim H~_{j-i-1}(Delta_W).
+
+    When a vertex v of W lies in no minimal non-face inside W, Delta_W is a
+    cone on v and has no reduced homology over any field.  So W runs only over
+    the unions of minimal non-faces: the lcm lattice of I_Delta, with the
+    empty set.
+    """
     _refuse_hochster_scan(cpx.n)
+    levels = _levels(_face_masks(cpx))
+    lattice = {0}
+    for nonface in _nonface_masks(cpx):
+        lattice |= {w | nonface for w in lattice}
     entries: dict[tuple[int, int], int] = {}
-    vertices = range(1, cpx.n + 1)
-    for j in range(cpx.n + 1):
-        for w in itertools.combinations(vertices, j):
-            ranks = reduced_homology_ranks(induced_subcomplex(cpx, w), p)
-            for h, r in ranks.items():
-                if r:
-                    key = (j - h - 1, j)
-                    entries[key] = entries.get(key, 0) + r
+    for w in lattice:
+        j = w.bit_count()
+        induced = []
+        for level in levels:
+            inside = [f for f in level if f & w == f]
+            if not inside:
+                break
+            induced.append(inside)
+        for h, r in _reduced_homology(induced, p).items():
+            if r:
+                key = (j - h - 1, j)
+                entries[key] = entries.get(key, 0) + r
     return BettiTable(entries)
 
 
@@ -455,14 +543,40 @@ class LocalCohomologyTable:
         )
 
 
+def _link_homology(
+    cpx: SimplicialComplex, p: int | None
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """(|F|, reduced homology of link F) for the faces F whose link is no cone.
+
+    When a vertex outside F lies in every facet through F, link F is a cone
+    on it and has no reduced homology over any field; those faces are skipped.
+    """
+    levels = _levels(_face_masks(cpx))
+    facets = [_mask(f) for f in cpx.facets]
+    for c, level in enumerate(levels):
+        for face in level:
+            common = -1
+            for g in facets:
+                if g & face == face:
+                    common &= g
+            if common != face:
+                continue
+            link_levels = []
+            for upper in levels[c:]:
+                inside = [f ^ face for f in upper if f & face == face]
+                if not inside:
+                    break
+                link_levels.append(inside)
+            yield c, _reduced_homology(link_levels, p)
+
+
 def local_cohomology_hochster(
     cpx: SimplicialComplex, p: int | None = None
 ) -> LocalCohomologyTable:
-    """N_{i,c} = sum over faces F with |F| = c of dim H~_{i-c-1}(link F)."""
+    """N_{i,c} = sum over faces F with |F| = c of dim H~_{i-c-1}(link F);
+    faces whose link is a cone add nothing and are skipped."""
     entries: dict[tuple[int, int], int] = {}
-    for sigma in cpx.faces():
-        c = len(sigma)
-        ranks = reduced_homology_ranks(link(cpx, sigma), p)
+    for c, ranks in _link_homology(cpx, p):
         for h, r in ranks.items():
             if r:
                 key = (h + c + 1, c)
@@ -475,11 +589,10 @@ def local_cohomology_hochster(
 
 def is_cohen_macaulay(cpx: SimplicialComplex, p: int | None = None) -> bool:
     """Homological criterion: every face link has vanishing reduced homology
-    below its dimension."""
-    for sigma in cpx.faces():
-        lk = link(cpx, sigma)
-        ranks = reduced_homology_ranks(lk, p)
-        if any(r and h < lk.dim for h, r in ranks.items()):
+    below its dimension (a cone link has none at all and is skipped)."""
+    for _, ranks in _link_homology(cpx, p):
+        top = max(ranks)  # the dimension of the link
+        if any(r and h < top for h, r in ranks.items()):
             return False
     return True
 

@@ -1,14 +1,18 @@
 """Independent brute-force oracles used to pin expected values: standard
 monomial counting (monomial and polynomial ideals), exact matrix rank over Q,
 a Koszul-complex computation of graded Betti numbers, scans over all 2^n
-vertex subsets for the Krull dimension and the Stanley-Reisner bridge, and
-the irreducible decomposition by recursive splitting of generators.
+vertex subsets for the Krull dimension and the Stanley-Reisner bridge, the
+irreducible decomposition by recursive splitting of generators, and
+Hochster's formulas by dense boundary matrices over every vertex subset and
+every face link.
 
 Everything here is deliberately naive and separate from the library's
-algorithms; only container types are shared.  The one exception is the
-reference for scm_check's criteria battery, which is built from the library's
-own gin, filtration and Hilbert numerator but recomputes every one of them at
-every level of the chain, as the battery once did.
+algorithms; only container types are shared.  Two exceptions: the dense
+homology ranks use the library's dense elimination (`_rank_int`, Bareiss
+over Q, and `_rank_mod_p`), which the library's own homology no longer
+calls; and the reference for scm_check's criteria battery is built from the
+library's own gin, filtration and Hilbert numerator but recomputes every one
+of them at every level of the chain, as the battery once did.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from math import comb
 from operator import le
 
 from bwkit import (
+    BettiTable,
+    LocalCohomologyTable,
     Monomial,
     MonomialIdeal,
     Polynomial,
@@ -28,7 +34,10 @@ from bwkit import (
     dimension_filtration,
     gin,
     hilbert_numerator,
+    induced_subcomplex,
+    link,
 )
+from bwkit.ring import _rank_int, _rank_mod_p
 
 
 def monomials_of_degree(n: int, k: int) -> list[tuple[int, ...]]:
@@ -278,3 +287,84 @@ def battery_per_level(ideal: MonomialIdeal, seed: int) -> list[dict]:
         }
         for name in names
     ]
+
+
+def all_faces(cpx: SimplicialComplex) -> set[frozenset[int]]:
+    """Every vertex subset of every facet."""
+    return {
+        frozenset(c)
+        for f in cpx.facets
+        for k in range(len(f) + 1)
+        for c in itertools.combinations(sorted(f), k)
+    }
+
+
+def dense_reduced_homology_ranks(cpx: SimplicialComplex, p: int | None = None) -> dict[int, int]:
+    """dim H~_i for i = -1..dim over Q or F_p, from dense boundary matrices
+    on the faces as sorted tuples."""
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for f in all_faces(cpx):
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    for k in by_dim:
+        by_dim[k].sort()
+    top = cpx.dim
+    boundary_rank: dict[int, int] = {}
+    for i in range(0, top + 1):
+        lower = by_dim.get(i - 1, [])
+        upper = by_dim.get(i, [])
+        if not lower or not upper:
+            boundary_rank[i] = 0
+            continue
+        index = {f: k for k, f in enumerate(lower)}
+        rows = []
+        for f in upper:
+            row = [0] * len(lower)
+            for pos in range(len(f)):
+                sub = f[:pos] + f[pos + 1:]
+                row[index[sub]] = (-1) ** pos
+            rows.append(row)
+        boundary_rank[i] = _rank_int(rows) if p is None else _rank_mod_p(rows, p)
+    out = {}
+    for i in range(-1, top + 1):
+        ci = len(by_dim.get(i, []))
+        out[i] = ci - boundary_rank.get(i, 0) - boundary_rank.get(i + 1, 0)
+    return out
+
+
+def scan_graded_betti_hochster(cpx: SimplicialComplex, p: int | None = None) -> BettiTable:
+    """Hochster's formula over all 2^n vertex subsets W, cones included."""
+    entries: dict[tuple[int, int], int] = {}
+    vertices = range(1, cpx.n + 1)
+    for j in range(cpx.n + 1):
+        for w in itertools.combinations(vertices, j):
+            ranks = dense_reduced_homology_ranks(induced_subcomplex(cpx, w), p)
+            for h, r in ranks.items():
+                if r:
+                    key = (j - h - 1, j)
+                    entries[key] = entries.get(key, 0) + r
+    return BettiTable(entries)
+
+
+def scan_local_cohomology_hochster(
+    cpx: SimplicialComplex, p: int | None = None
+) -> LocalCohomologyTable:
+    """Hochster's face formula over the link of every face, cones included."""
+    entries: dict[tuple[int, int], int] = {}
+    for sigma in all_faces(cpx):
+        c = len(sigma)
+        ranks = dense_reduced_homology_ranks(link(cpx, sigma), p)
+        for h, r in ranks.items():
+            if r:
+                key = (h + c + 1, c)
+                entries[key] = entries.get(key, 0) + r
+    return LocalCohomologyTable(entries)
+
+
+def scan_is_cohen_macaulay(cpx: SimplicialComplex, p: int | None = None) -> bool:
+    """Reisner's criterion checked on the link of every face."""
+    for sigma in all_faces(cpx):
+        lk = link(cpx, sigma)
+        ranks = dense_reduced_homology_ranks(lk, p)
+        if any(r and h < lk.dim for h, r in ranks.items()):
+            return False
+    return True

@@ -3,6 +3,7 @@ Alexander duality, simplicial homology, Hochster formulas, shifting, and the
 h-triangle recovery identity."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,12 +43,17 @@ from bwkit import (
 )
 from bwkit import simplicial
 from bwkit.monomial import _minimal_transversals
-from bwkit.ring import _rank_int
+from bwkit.ring import _rank_int, _rank_mod_p
 from corpus import random_monomial_ideal
 from oracles import (
+    all_faces,
+    dense_reduced_homology_ranks,
     fraction_rank,
     scan_complex_of_ideal,
+    scan_graded_betti_hochster,
+    scan_is_cohen_macaulay,
     scan_krull_dimension,
+    scan_local_cohomology_hochster,
     scan_minimal_nonfaces,
 )
 
@@ -342,6 +348,64 @@ def test_integer_rank_matches_fraction_rank(rows):
     )
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_sparse_rank_matches_dense_ranks(rows):
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    rank_q = simplicial._sparse_rank(sparse, None)
+    assert rank_q == _rank_int([row[:] for row in rows])
+    assert rank_q == fraction_rank([[Fraction(v) for v in row] for row in rows])
+    for p in (2, 3, 5):
+        assert simplicial._sparse_rank(sparse, p) == _rank_mod_p(rows, p)
+
+
+# the 6-vertex real projective plane: H~_1 = Z/2, so its homology and Betti
+# numbers depend on the characteristic
+RP2 = cpx(
+    6,
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+)
+
+
+def test_homology_and_betti_depend_on_the_field():
+    zero = {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert reduced_homology_ranks(RP2) == zero
+    assert reduced_homology_ranks(RP2, p=3) == zero
+    assert reduced_homology_ranks(RP2, p=2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert graded_betti_hochster(RP2).totals() == [1, 10, 15, 6]
+    assert graded_betti_hochster(RP2, p=3).totals() == [1, 10, 15, 6]
+    assert graded_betti_hochster(RP2, p=2).totals() == [1, 10, 15, 7, 1]
+
+
+def test_hochster_routes_match_dense_scans():
+    """The bitmask faces, kernel and cone skips against frozenset faces and
+    dense ranks over every subset and every face link, over Q, F_2 and F_3."""
+    rng = random.Random(9173)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        faces = [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 7))]
+        c = SimplicialComplex(n, faces)
+        assert c.faces() == all_faces(c)
+        for p in (None, 2, 3):
+            assert reduced_homology_ranks(c, p) == dense_reduced_homology_ranks(c, p)
+            assert graded_betti_hochster(c, p) == scan_graded_betti_hochster(c, p)
+            assert local_cohomology_hochster(c, p) == scan_local_cohomology_hochster(c, p)
+            assert is_cohen_macaulay(c, p) == scan_is_cohen_macaulay(c, p)
+    for c in (RP2, worked_example_complex()):
+        for p in (None, 2, 3):
+            assert graded_betti_hochster(c, p) == scan_graded_betti_hochster(c, p)
+            assert local_cohomology_hochster(c, p) == scan_local_cohomology_hochster(c, p)
+
+
 # -- Hochster formulas ------------------------------------------------------------------
 
 
@@ -403,6 +467,18 @@ def test_local_cohomology_hochster_goldens():
     assert worked.entries == {(2, 0): 1, (2, 1): 3, (3, 3): 3}
     assert worked.numerator(2) == UniPoly((-2, 1, 1))
     assert worked.numerator(3) == UniPoly((3,))
+
+
+def test_simplex_links_are_cones():
+    """Every link of a simplex but the simplex's own is a cone; the 2^12
+    faces of the 12-vertex simplex need no homology at all."""
+    simplex = SimplicialComplex(12, [tuple(range(1, 13))])
+    start = time.perf_counter()
+    table = local_cohomology_hochster(simplex)
+    assert table.entries == {(12, 12): 1}
+    assert str(table) == "H^12: 1/(t-1)^12"
+    assert is_cohen_macaulay(simplex)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_local_cohomology_cm_vanishing():
