@@ -211,13 +211,11 @@ def local_cohomology_scm(ideal: MonomialIdeal, seed: int = 0) -> LocalCohomology
     each layer h-polynomial re-expanded in powers of (t-1)."""
     if not ideal.is_proper:
         raise ValueError("local cohomology wants a proper ideal")
-    if not scm_check(ideal, seed=seed, full_battery=False).scm:
+    report = scm_check(ideal, seed=seed, full_battery=False)
+    if not report.scm:
         raise NotSCM("layer formula needs a sequentially Cohen-Macaulay algebra")
-    dec = layer_decomposition(ideal)
     entries: dict[tuple[int, int], int] = {}
-    for i, h in enumerate(dec.layer_h):
-        if h.is_zero:
-            continue
+    for i, h in report.bw_input.rows().items():
         for k, a in enumerate(h.taylor_at_one().coeffs):
             if a:
                 entries[(i, i - k)] = a

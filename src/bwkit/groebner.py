@@ -51,7 +51,7 @@ from .ring import (
     Polynomial,
     RingSpec,
     _Packing,
-    _rank_mod_p,
+    _sparse_rank,
     _substitute,
     require_int,
 )
@@ -508,7 +508,7 @@ def _gin_trial(
     None when the matrix is singular mod prime.  A target Hilbert series
     lets Buchberger stop early; None runs it to the end."""
     n = len(matrix)
-    if _rank_mod_p(matrix, prime) != n:
+    if _sparse_rank([dict(enumerate(r)) for r in matrix], prime) != n:
         return None
     reduce = partial(_reduce_mod, prime=prime)
 

@@ -9,7 +9,9 @@ irreducible components m^b = (x_i^{b_i} : b_i > 0) of dimension > i; the
 irredundant irreducible decomposition of I is unique.  Writing
 I^<-1> = I, the successive quotients U_i = I^<i>/I^<i-1> are zero or
 i-dimensional; U_0 can be nonzero (it is the finite-length part), so I^<0> = I
-exactly when R/I has positive depth.  For strongly stable ideals the same
+exactly when R/I has positive depth.  The components, and the generators of
+each I^<i>, are read off by Alexander duality as minimal transversals of the
+polarized generators, or components.  For strongly stable ideals the same
 chain is computed by saturating with respect to x_n, x_{n-1}, ... in turn.
 """
 
@@ -185,7 +187,8 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
 
 def _minimal_transversals(edges: Iterable[int]) -> list[int]:
     """Minimal vertex sets meeting every edge, as bitmasks (Berge's sequential
-    dualization; grown sets form an antichain).  No edges give [0]."""
+    dualization; grown sets form an antichain).  No edges give [0], an empty
+    edge gives []."""
     trans = [0]
     for e in sorted(edges, key=int.bit_count):
         hit = [t for t in trans if t & e]
@@ -221,30 +224,41 @@ class PrimaryDecomposition:
         return out
 
 
-def _irreducible_components(ideal: MonomialIdeal) -> list[Exps]:
-    """The irredundant irreducible decomposition I = cap m^b, as the vectors b.
+def _transversal_dual(n: int, vectors: Sequence[Exps], descending: bool) -> list[Exps]:
+    """Minimal transversals of the polarized vectors, read back as exponents.
 
-    Polarizing x_i^a to the bits (i, 1..r), r the rank of a among the x_i-
-    exponents of the generators, each minimal transversal, its bit (i, r)
-    read back as x_i^a, is an m^b containing I.  Together they cut out I; the
-    components are the m^b containing no other one.
+    x_i^a polarizes to the bits (i, 1..r), r the rank of a among the distinct
+    nonzero x_i-exponents of the vectors, ranked ascending or descending.  A
+    minimal transversal holds at most one bit (i, r) per variable; read back
+    as x_i^a it gives a vector c.  Since x^a lies in m^b exactly when
+    a_i >= b_i > 0 for some i, ascending ranks take generators to m^c
+    containing them all, and descending ranks take the b of components m^b to
+    monomials x^c in their intersection.  The minimal read-backs are the
+    irreducible components, or the generators of the intersection.
     """
-    n = ideal.ring.n
-    gens = [g.exponents for g in ideal.gens]
-    levels = [sorted({e[k] for e in gens} - {0}) for k in range(n)]
+    levels = [sorted({e[k] for e in vectors} - {0}, reverse=descending) for k in range(n)]
     rank = [{a: r for r, a in enumerate(col, 1)} for col in levels]
     offset = list(itertools.accumulate(map(len, levels), initial=0))
     bits = [(k, a) for k, col in enumerate(levels) for a in col]
-    edges = [sum(((1 << rank[k][a]) - 1) << offset[k] for k, a in enumerate(e) if a) for e in gens]
-    masks = {}
+    edges = [sum(((1 << rank[k][a]) - 1) << offset[k] for k, a in enumerate(e) if a) for e in vectors]
+    out = []
     for t in _minimal_transversals(edges):
         # one bit per variable at most: an edge holding (i, r) holds (i, r - 1)
-        b = [0] * n
+        c = [0] * n
         for j in range(t.bit_length()):
             if t >> j & 1:
                 k, a = bits[j]
-                b[k] = a
-        masks[tuple(b)] = exponent_mask(b)
+                c[k] = a
+        out.append(tuple(c))
+    return out
+
+
+def _irreducible_components(ideal: MonomialIdeal) -> list[Exps]:
+    """The irredundant irreducible decomposition I = cap m^b, as the vectors b:
+    the ascending transversal dual of the generators, less every m^b that
+    contains another one."""
+    gens = [g.exponents for g in ideal.gens]
+    masks = {b: exponent_mask(b) for b in _transversal_dual(ideal.ring.n, gens, False)}
     # m^c <= m^b exactly when supp c <= supp b and b_i <= c_i on supp c
     return [
         b
@@ -367,7 +381,8 @@ class FiltrationChain:
 
 
 def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> FiltrationChain:
-    """The chain I^<i> = intersection of irreducible components of dimension > i.
+    """The chain I^<i> = intersection of irreducible components of dimension > i,
+    generated by the descending transversal dual of those components.
 
     route="borel" computes the same chain for strongly stable ideals by
     successive saturations I^<i> = (I^<i-1> : x_{n-i}^inf), seeded at I.
@@ -377,31 +392,29 @@ def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> 
     ring = ideal.ring
     n = ring.n
     d = krull_dimension(ideal)
-    unit = MonomialIdeal.unit(ring)
-    if ideal.is_zero:
-        return FiltrationChain(d, tuple([ideal] * n + [unit]))
+    ideals = []
     if route == "decomposition":
-        # top-down: I^<i> = I^<i+1> cap (irreducible components of dimension i+1)
+        # the components of dimension > i change only at their dimensions,
+        # and all of them together cut out I itself
         comps = _irreducible_components(ideal)
-        ideals = [unit]
-        for i in range(d - 1, -1, -1):
-            cur = ideals[-1]
-            for b in comps:
-                if b.count(0) == i + 1:
-                    cur = cur.intersect(MonomialIdeal(ring, _pure_powers(b)))
-            ideals.append(cur)
-        return FiltrationChain(d, tuple(reversed(ideals)))
-    if route == "borel":
+        top = comps
+        level = ideal
+        for i in range(d):
+            above = [b for b in comps if b.count(0) > i]
+            if above != top:
+                top = above
+                level = MonomialIdeal(ring, map(Monomial, _transversal_dual(n, top, True)))
+            ideals.append(level)
+    elif route == "borel":
         if not is_strongly_stable(ideal):
             raise ValueError("borel route wants a strongly stable ideal")
-        ideals = []
         cur = ideal
         for i in range(d):
             cur = cur.saturate_variable(n - i)
             ideals.append(cur)
-        ideals.append(unit)
-        return FiltrationChain(d, tuple(ideals))
-    raise ValueError(f"unknown filtration route {route!r}")
+    else:
+        raise ValueError(f"unknown filtration route {route!r}")
+    return FiltrationChain(d, (*ideals, MonomialIdeal.unit(ring)))
 
 
 def borel_depth(ideal: MonomialIdeal) -> int:

@@ -1,7 +1,8 @@
 """Exact arithmetic core: monomials, polynomials over Q, the one revlex key,
-the packed monomial keys of the Groebner engines, exact (Bareiss)
-elimination, the change-of-coordinates kernel, and the univariate machinery
-(Hilbert series, bivariate layer polynomials) everything else sits on.
+the packed monomial keys of the Groebner engines, the one exact sparse rank
+(over Q or F_p), the change-of-coordinates kernel, and the univariate
+machinery (Hilbert series, bivariate layer polynomials) everything else sits
+on.
 
 Monomial order is graded reverse lexicographic with x1 > x2 > ... > xn:
 higher total degree wins, ties go to the monomial whose last nonzero entry
@@ -14,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 Exps = tuple[int, ...]
@@ -423,62 +424,54 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
 # -- exact elimination and change of coordinates ----------------------------------
 
 
-def _rank_int(rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination with column pivoting."""
-    a = [r[:] for r in rows if any(r)]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        top = a[rank]
-        for r in range(rank + 1, len(a)):
-            arc = a[r][col]
-            row = a[r]
-            if arc:
-                for c2 in range(col + 1, ncols):
-                    row[c2] = (row[c2] * top[col] - arc * top[c2]) // prev
-                row[col] = 0
+def _sparse_rank(rows: Iterable[Mapping[int, int]], p: int | None) -> int:
+    """Rank over Q (p None) or F_p of sparse rows {column: entry}.
+
+    A row's leading column is its largest.  Each row is reduced against the
+    pivot stored for its leading column until it has a new leading column or
+    vanishes.  Over Q pivots lead with a positive entry a, and the step is
+    r <- a*r - b*pivot followed by division by the content of r, so rows stay
+    integral and small; over F_p the pivots are monic and r <- r - b*pivot.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for given in rows:
+        if p is None:
+            row = {c: v for c, v in given.items() if v}
+        else:
+            row = {c: v % p for c, v in given.items() if v % p}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p is not None:
+                    inv = pow(row[lead], -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                elif row[lead] < 0:
+                    row = {c: -v for c, v in row.items()}
+                pivots[lead] = row
+                break
+            b = row[lead]
+            if p is None:
+                a = pivot[lead]
+                if a != 1:
+                    row = {c: a * v for c, v in row.items()}
+                for c, v in pivot.items():
+                    x = row.get(c, 0) - b * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
             else:
-                # rows missing the pivot column still pick up the Bareiss
-                # scaling, otherwise later exact divisions truncate
-                for c2 in range(col + 1, ncols):
-                    row[c2] = row[c2] * top[col] // prev
-        prev = top[col]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    a = [[x % p for x in r] for r in rows]
-    a = [r for r in a if any(r)]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        top = [(x * inv) % p for x in a[rank]]
-        a[rank] = top
-        for r in range(rank + 1, len(a)):
-            f = a[r][col]
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], top)]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+                for c, v in pivot.items():
+                    x = (row.get(c, 0) - b * v) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+    return len(pivots)
 
 
 class _Packing:
@@ -596,8 +589,8 @@ def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]
     scaled = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
-        scaled.append([int(x * den) for x in row])
-    if _rank_int(scaled) != n:
+        scaled.append({c: int(x * den) for c, x in enumerate(row)})
+    if _sparse_rank(scaled, None) != n:
         raise ValueError("change-of-coordinates matrix is singular")
     packing = _Packing(n, f.degree or 0)
     packed = {packing.pack(m.exponents): c for m, c in f._terms.items()}

@@ -16,12 +16,12 @@ rows integral over Q (so the rank is exact) and runs mod p over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
-from .ring import Monomial, RingSpec, UniPoly, exponent_mask, require_int
+from .ring import Monomial, RingSpec, UniPoly, _sparse_rank, exponent_mask, require_int
 
 Face = frozenset[int]
 
@@ -330,56 +330,6 @@ def _levels(faces: Iterable[int]) -> list[list[int]]:
     return levels
 
 
-def _sparse_rank(rows: Iterable[Mapping[int, int]], p: int | None) -> int:
-    """Rank over Q (p None) or F_p of sparse rows {column: entry}.
-
-    A row's leading column is its largest.  Each row is reduced against the
-    pivot stored for its leading column until it has a new leading column or
-    vanishes.  Over Q pivots lead with a positive entry a, and the step is
-    r <- a*r - b*pivot followed by division by the content of r, so rows stay
-    integral and small; over F_p the pivots are monic and r <- r - b*pivot.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for given in rows:
-        if p is None:
-            row = {c: v for c, v in given.items() if v}
-        else:
-            row = {c: v % p for c, v in given.items() if v % p}
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                if p is not None:
-                    inv = pow(row[lead], -1, p)
-                    row = {c: v * inv % p for c, v in row.items()}
-                elif row[lead] < 0:
-                    row = {c: -v for c, v in row.items()}
-                pivots[lead] = row
-                break
-            b = row[lead]
-            if p is None:
-                a = pivot[lead]
-                if a != 1:
-                    row = {c: a * v for c, v in row.items()}
-                for c, v in pivot.items():
-                    x = row.get(c, 0) - b * v
-                    if x:
-                        row[c] = x
-                    else:
-                        del row[c]
-                g = gcd(*row.values())
-                if g > 1:
-                    row = {c: v // g for c, v in row.items()}
-            else:
-                for c, v in pivot.items():
-                    x = (row.get(c, 0) - b * v) % p
-                    if x:
-                        row[c] = x
-                    else:
-                        del row[c]
-    return len(pivots)
-
-
 def _reduced_homology(levels: list[list[int]], p: int | None) -> dict[int, int]:
     """dim H~_{k-1} for k = 0..len(levels)-1, over Q or F_p, of the complex
     whose faces of k vertices are levels[k] (closed under subsets, so
@@ -486,16 +436,12 @@ class LocalCohomologyTable:
     def numerator(self, i: int) -> UniPoly:
         """Numerator of Hilb(H^i_m) over (t-1)^i (valid when all c >= 0)."""
         out = UniPoly.zero()
-        base = UniPoly((-1, 1))
         for (k, c), v in self.entries.items():
             if k != i:
                 continue
             if c < 0:
                 raise ValueError("series has a polynomial part; no single (t-1)^i form")
-            term = UniPoly.one()
-            for _ in range(i - c):
-                term = term * base
-            out = out + term * v
+            out = out + UniPoly.one_minus_t_power(i - c) * ((-1) ** (i - c) * v)
         return out
 
     def __eq__(self, other) -> bool:
@@ -677,7 +623,6 @@ def hrw_check(cpx: SimplicialComplex, p: int | None = None) -> HrwResult:
         return HrwResult(True, (), True)
     dual = alexander_dual(cpx)
     betti = graded_betti_hochster(dual, p)
-    base = UniPoly((-1, 1))
     residuals = []
     ok = True
     for i in range(ht.d + 1):
@@ -685,10 +630,7 @@ def hrw_check(cpx: SimplicialComplex, p: int | None = None) -> HrwResult:
         for c in range(i + 1):
             b = betti.beta(i - c + 1, cpx.n - c)
             if b:
-                term = UniPoly.one()
-                for _ in range(i - c):
-                    term = term * base
-                lhs = lhs + term * b
+                lhs = lhs + UniPoly.one_minus_t_power(i - c) * ((-1) ** (i - c) * b)
         res = lhs - ht.row(i)
         residuals.append((i, res))
         if not res.is_zero:

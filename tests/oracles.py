@@ -1,18 +1,18 @@
 """Independent brute-force oracles used to pin expected values: standard
-monomial counting (monomial and polynomial ideals), exact matrix rank over Q,
+monomial counting (monomial and polynomial ideals), exact matrix rank over Q
+(by fractions, and by dense Bareiss elimination) and over F_p,
 a Koszul-complex computation of graded Betti numbers, scans over all 2^n
 vertex subsets for the Krull dimension and the Stanley-Reisner bridge, the
-irreducible decomposition by recursive splitting of generators, and
+irreducible decomposition by recursive splitting of generators, the
+dimension filtration by intersecting those components one at a time, and
 Hochster's formulas by dense boundary matrices over every vertex subset and
 every face link.
 
 Everything here is deliberately naive and separate from the library's
-algorithms; only container types are shared.  Two exceptions: the dense
-homology ranks use the library's dense elimination (`_rank_int`, Bareiss
-over Q, and `_rank_mod_p`), which the library's own homology no longer
-calls; and the reference for scm_check's criteria battery is built from the
-library's own gin, filtration and Hilbert numerator but recomputes every one
-of them at every level of the chain, as the battery once did.
+algorithms; only container types are shared.  One exception: the reference
+for scm_check's criteria battery is built from the library's own gin,
+filtration and Hilbert numerator but recomputes every one of them at every
+level of the chain, as the battery once did.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from operator import le
 
 from bwkit import (
     BettiTable,
+    FiltrationChain,
     LocalCohomologyTable,
     Monomial,
     MonomialIdeal,
@@ -37,7 +38,6 @@ from bwkit import (
     induced_subcomplex,
     link,
 )
-from bwkit.ring import _rank_int, _rank_mod_p
 
 
 def monomials_of_degree(n: int, k: int) -> list[tuple[int, ...]]:
@@ -243,6 +243,24 @@ def split_irreducible_components(ideal: MonomialIdeal) -> set[tuple[int, ...]]:
     return {b for b in found if not any(c != b and inside(c, b) for c in found)}
 
 
+def fold_dimension_filtration(ideal: MonomialIdeal) -> FiltrationChain:
+    """The dimension filtration folded top down from the components m^b of
+    split_irreducible_components: I^<i> = I^<i+1> cap (the m^b of dimension
+    i + 1), one MonomialIdeal.intersect (all pairwise lcms) per component."""
+    ring = ideal.ring
+    comps = split_irreducible_components(ideal)
+    d = max(b.count(0) for b in comps)
+    ideals = [MonomialIdeal.unit(ring)]
+    for i in range(d - 1, -1, -1):
+        cur = ideals[-1]
+        for b in comps:
+            if b.count(0) == i + 1:
+                powers = [[x if k == j else 0 for k in range(ring.n)] for j, x in enumerate(b) if x]
+                cur = cur.intersect(MonomialIdeal.from_exponents(ring, powers))
+        ideals.append(cur)
+    return FiltrationChain(d, tuple(reversed(ideals)))
+
+
 def battery_per_level(ideal: MonomialIdeal, seed: int) -> list[dict]:
     """scm_check's criteria, as JSON, with gin, the saturation chain, the
     depth and the Hilbert numerators recomputed at every level i < d."""
@@ -297,6 +315,65 @@ def all_faces(cpx: SimplicialComplex) -> set[frozenset[int]]:
         for k in range(len(f) + 1)
         for c in itertools.combinations(sorted(f), k)
     }
+
+
+def _rank_int(rows: list[list[int]]) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination with column pivoting."""
+    a = [r[:] for r in rows if any(r)]
+    if not a:
+        return 0
+    ncols = len(a[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        for r in range(rank + 1, len(a)):
+            arc = a[r][col]
+            row = a[r]
+            if arc:
+                for c2 in range(col + 1, ncols):
+                    row[c2] = (row[c2] * top[col] - arc * top[c2]) // prev
+                row[col] = 0
+            else:
+                # rows missing the pivot column still pick up the Bareiss
+                # scaling, otherwise later exact divisions truncate
+                for c2 in range(col + 1, ncols):
+                    row[c2] = row[c2] * top[col] // prev
+        prev = top[col]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p by dense elimination with monic pivots."""
+    a = [[x % p for x in r] for r in rows]
+    a = [r for r in a if any(r)]
+    if not a:
+        return 0
+    ncols = len(a[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        top = [(x * inv) % p for x in a[rank]]
+        a[rank] = top
+        for r in range(rank + 1, len(a)):
+            f = a[r][col]
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], top)]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
 
 
 def dense_reduced_homology_ranks(cpx: SimplicialComplex, p: int | None = None) -> dict[int, int]:

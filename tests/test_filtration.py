@@ -132,6 +132,12 @@ def test_bw_trivial_inputs():
     assert len(log) == 1
 
 
+def test_bw_unknown_route_rejected():
+    for i in (MonomialIdeal.zero(R3), ideal(R3, (1, 0, 1))):
+        with pytest.raises(ValueError, match="unknown filtration route"):
+            bw_polynomial(i, route="nonsense")
+
+
 def test_bw_from_complex_matches_algebraic_route():
     for c in (
         worked_example_complex(),
@@ -298,6 +304,21 @@ def test_local_cohomology_scm_goldens():
 
     maximal = ideal(R2, (1, 0), (0, 1))
     assert local_cohomology_scm(maximal).entries == {(0, 0): 1}
+
+
+def test_local_cohomology_scm_decomposes_the_input_once(monkeypatch):
+    """The layers come from scm_check's own layer decomposition."""
+    calls = Counter()
+    real = filtration.layer_decomposition
+
+    def counted(q, route="decomposition"):
+        calls[q, route] += 1
+        return real(q, route=route)
+
+    monkeypatch.setattr(filtration, "layer_decomposition", counted)
+    i = worked_example_gin()
+    local_cohomology_scm(i, seed=0)
+    assert calls[i, "decomposition"] == 1
 
 
 def test_local_cohomology_scm_matches_hochster_on_cm_complex():

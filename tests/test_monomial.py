@@ -3,6 +3,7 @@ filtrations, and Eliahou-Kervaire Betti numbers."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,12 @@ from bwkit import (
 )
 from bwkit.monomial import _irreducible_components, _minimal_transversals
 from corpus import borel_closure, random_monomial_ideal, random_stable_ideal
-from oracles import koszul_betti_table, split_irreducible_components, standard_monomial_counts
+from oracles import (
+    fold_dimension_filtration,
+    koszul_betti_table,
+    split_irreducible_components,
+    standard_monomial_counts,
+)
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -305,6 +311,12 @@ def test_chain_unit_rejected():
         dimension_filtration(MonomialIdeal.unit(R3))
 
 
+def test_chain_unknown_route_rejected():
+    for i in (MonomialIdeal.zero(R3), ideal(R3, (1, 0, 1))):
+        with pytest.raises(ValueError, match="unknown filtration route"):
+            dimension_filtration(i, route="nonsense")
+
+
 def test_chain_routes_agree_on_random_stable():
     rng = random.Random(13)
     for _ in range(15):
@@ -343,6 +355,40 @@ def test_chain_matches_colon_dimension():
             dim = krull_dimension(i.colon(m))
             for level, q in enumerate(chain.ideals):
                 assert q.contains(m) == (dim <= level), (i, m, level)
+
+
+def path_edge_ideal(n):
+    return ideal(RingSpec(n), *(tuple(int(k in (j, j + 1)) for k in range(n)) for j in range(n - 1)))
+
+
+def test_chain_matches_intersection_fold():
+    """Each I^<i>, read off the components by Alexander duality, equals the
+    intersection of the split components of dimension > i folded one at a
+    time."""
+    rng = random.Random(37)
+    for _ in range(150):
+        i = random_monomial_ideal(rng, max_vars=5, max_degree=5, max_gens=6)
+        if i.is_proper:
+            assert dimension_filtration(i) == fold_dimension_filtration(i), i
+    for _ in range(40):
+        j = random_stable_ideal(rng, max_vars=5, max_degree=4)
+        if j.is_proper:
+            assert dimension_filtration(j) == fold_dimension_filtration(j), j
+    for n in range(2, 17):
+        path = path_edge_ideal(n)
+        assert dimension_filtration(path) == fold_dimension_filtration(path), n
+
+
+def test_chain_of_path_22_is_fast():
+    """Folding intersect over the components of this ideal took 13-16 s on a
+    2-vCPU VM; the level sizes are the fold's."""
+    path = path_edge_ideal(22)
+    start = time.perf_counter()
+    chain = dimension_filtration(path)
+    assert time.perf_counter() - start < 5
+    assert chain.d == 11
+    assert chain.ideals[0] == path
+    assert [len(q.gens) for q in chain.ideals[8:]] == [49, 147, 66, 1]
 
 
 def test_chain_json_roundtrip():

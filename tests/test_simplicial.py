@@ -43,9 +43,11 @@ from bwkit import (
 )
 from bwkit import simplicial
 from bwkit.monomial import _minimal_transversals
-from bwkit.ring import _rank_int, _rank_mod_p
+from bwkit.ring import _sparse_rank
 from corpus import random_monomial_ideal
 from oracles import (
+    _rank_int,
+    _rank_mod_p,
     all_faces,
     dense_reduced_homology_ranks,
     fraction_rank,
@@ -360,11 +362,11 @@ def test_integer_rank_matches_fraction_rank(rows):
 )
 def test_sparse_rank_matches_dense_ranks(rows):
     sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-    rank_q = simplicial._sparse_rank(sparse, None)
+    rank_q = _sparse_rank(sparse, None)
     assert rank_q == _rank_int([row[:] for row in rows])
     assert rank_q == fraction_rank([[Fraction(v) for v in row] for row in rows])
     for p in (2, 3, 5):
-        assert simplicial._sparse_rank(sparse, p) == _rank_mod_p(rows, p)
+        assert _sparse_rank(sparse, p) == _rank_mod_p(rows, p)
 
 
 # the 6-vertex real projective plane: H~_1 = Z/2, so its homology and Betti
