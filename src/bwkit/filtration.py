@@ -227,6 +227,6 @@ def extremal_from_bw(p: BWPolynomial) -> tuple[int, int]:
     Meaningful when p comes from a sequentially Cohen-Macaulay algebra."""
     if p.is_zero:
         raise ValueError("zero polynomial carries no extremal data")
-    reg = max(j for _, j in p.coeffs)
-    depth = min(i for i, _ in p.coeffs)
+    reg = max(j for _, j in p.entries)
+    depth = min(i for i, _ in p.entries)
     return reg, depth

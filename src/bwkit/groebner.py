@@ -271,8 +271,6 @@ def _buchberger(
     degree, prune = -1, False
     while heap:
         lcm_deg, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         if target is not None and lcm_deg != degree:
             # new pairs have a larger lcm degree than the pair that made

@@ -23,7 +23,10 @@ from math import comb
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
-from .ring import Exps, HilbertSeries, Monomial, RingSpec, UniPoly, exponent_mask, require_int, revlex_key
+from .ring import (
+    Exps, HilbertSeries, Monomial, RingSpec, UniPoly, _SparseTable, exponent_mask, require_int,
+    revlex_key,
+)
 
 
 def _minimalize(exps: Iterable[Exps]) -> frozenset[Exps]:
@@ -436,24 +439,13 @@ def _chain_depth(ideal: MonomialIdeal, chain: FiltrationChain) -> int:
 # -- graded Betti numbers ------------------------------------------------------
 
 
-class BettiTable:
+class BettiTable(_SparseTable):
     """Graded Betti numbers beta_{i,j} of a quotient R/I, stored sparsely."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
+    _WHAT = ("homological degree", "internal degree", "Betti number")
 
-    def __init__(self, entries: Mapping[tuple[int, int], int]):
-        clean = {}
-        for (i, j), v in entries.items():
-            v = require_int(v, "Betti number")
-            if v:
-                clean[(require_int(i, "homological degree"), require_int(j, "internal degree"))] = v
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BettiTable is immutable")
-
-    def beta(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
+    beta = _SparseTable.value
 
     def projective_dimension(self) -> int:
         return max((i for i, _ in self.entries), default=0)
@@ -476,12 +468,6 @@ class BettiTable:
             row[i] = v
         return {r: out[r] for r in sorted(out)}
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BettiTable) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.entries.items()))
-
     def __str__(self) -> str:
         if not self.entries:
             return "(zero)"
@@ -491,27 +477,6 @@ class BettiTable:
         for r, row in self.rows().items():
             lines.append(f"{r:>5}:" + "".join(f"{v if v else '.':>6}" for v in row))
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"BettiTable({self.entries})"
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"i": i, "j": j, "value": v}
-                for (i, j), v in sorted(self.entries.items())
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "BettiTable":
-        return cls(
-            {
-                (require_int(e["i"], "homological degree"), require_int(e["j"], "internal degree")):
-                    require_int(e["value"], "Betti number")
-                for e in data["entries"]
-            }
-        )
 
 
 def betti_eliahou_kervaire(ideal: MonomialIdeal) -> BettiTable:

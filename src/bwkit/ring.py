@@ -4,6 +4,12 @@ the packed monomial keys of the Groebner engines, the one exact sparse rank
 machinery (Hilbert series, bivariate layer polynomials) everything else sits
 on.
 
+Two owners of output formats live here as well.  _SparseTable is the base of
+every result table (the layer polynomial, the f- and h-triangles, Betti and
+local cohomology tables): it validates the integer entries, gives value
+semantics and writes and parses the one JSON entry list.  _signed_sum writes
+the text of every signed sum of terms (Polynomial, UniPoly, BWPolynomial).
+
 Monomial order is graded reverse lexicographic with x1 > x2 > ... > xn:
 higher total degree wins, ties go to the monomial whose last nonzero entry
 of the exponent difference is negative. All coefficient arithmetic is exact
@@ -79,17 +85,10 @@ def revlex_key(m: "Monomial") -> tuple:
 
 def revlex_compare(a: "Monomial", b: "Monomial") -> int:
     """-1, 0 or +1 as a <, =, > b in graded revlex (x1 greatest)."""
-    ea, eb = a.exponents, b.exponents
-    if len(ea) != len(eb):
+    if len(a.exponents) != len(b.exponents):
         raise ValueError("monomials from rings of different dimension")
-    da, db = sum(ea), sum(eb)
-    if da != db:
-        return -1 if da < db else 1
-    for x, y in zip(reversed(ea), reversed(eb)):
-        if x != y:
-            # last nonzero entry of a-b negative  <=>  a > b
-            return 1 if x < y else -1
-    return 0
+    ka, kb = revlex_key(a), revlex_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 class Monomial:
@@ -180,6 +179,32 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self.exponents})"
+
+
+def _power(var: str, k: int) -> str:
+    """Text of var^k: empty for k = 0, the bare variable for k = 1."""
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+
+def _signed_sum(terms: Iterable[tuple[int | Fraction, str]], sep: str = "") -> str:
+    """Text of the sum of c*m over (c, m) pairs, in the given order: a leading
+    minus, " + " and " - " between terms, and "0" for no terms.  A unit
+    coefficient is dropped before a non-empty monomial text m, and sep joins
+    any other coefficient to it."""
+    out = []
+    for c, m in terms:
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        a = abs(c)
+        if not m:
+            out.append(str(a))
+        elif a == 1:
+            out.append(m)
+        else:
+            out.append(f"{a}{sep}{m}")
+    return "".join(out) or "0"
 
 
 class Polynomial:
@@ -348,23 +373,7 @@ class Polynomial:
         return hash((self.ring, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        out = []
-        for m, c in self.terms():
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            if m.is_one:
-                body = str(a)
-            elif a == 1:
-                body = str(m)
-            else:
-                body = f"{a}*{m}"
-            if not out:
-                out.append(body if sign == "+" else f"-{body}")
-            else:
-                out.append(f" {sign} {body}")
-        return "".join(out)
+        return _signed_sum(((c, "" if m.is_one else str(m)) for m, c in self.terms()), "*")
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -718,24 +727,7 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            if j == 0:
-                body = str(a)
-            else:
-                tp = "t" if j == 1 else f"t^{j}"
-                body = tp if a == 1 else f"{a}{tp}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return _signed_sum((c, _power("t", j)) for j, c in enumerate(self.coeffs) if c)
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -840,37 +832,90 @@ class HilbertSeries:
         )
 
 
-class BWPolynomial:
-    """Bivariate layer polynomial sum_{i,j} c_{ij} t^j w^i.
+class _SparseTable:
+    """Immutable sparse integer table (a, b) -> nonzero entry.
+
+    Every index and entry must be an int (require_int, with the labels each
+    subclass gives in _WHAT); zero entries are dropped after validation.  _check_index adds a
+    subclass's range condition.  The JSON form lists the entries sorted by
+    index under the field names _KEYS; each subclass wraps that list in its
+    own envelope.
+    """
+
+    __slots__ = ("entries",)
+    _KEYS = ("i", "j", "value")
+    _WHAT: tuple[str, str, str]
+
+    def __init__(self, entries: Mapping[tuple[int, int], int]):
+        wa, wb, wv = self._WHAT
+        clean: dict[tuple[int, int], int] = {}
+        for (a, b), v in entries.items():
+            a, b, v = require_int(a, wa), require_int(b, wb), require_int(v, wv)
+            self._check_index(a, b)
+            if v:
+                clean[(a, b)] = v
+        object.__setattr__(self, "entries", clean)
+
+    def _check_index(self, a: int, b: int) -> None:
+        """Raise ValueError for an index outside the table's range."""
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def value(self, a: int, b: int) -> int:
+        return self.entries.get((a, b), 0)
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.entries.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.entries})"
+
+    def _json_entries(self) -> list[dict]:
+        ka, kb, kv = self._KEYS
+        return [{ka: a, kb: b, kv: v} for (a, b), v in sorted(self.entries.items())]
+
+    @classmethod
+    def _parse_entries(cls, rows: Iterable[Mapping]) -> dict[tuple[int, int], int]:
+        # validate before hashing: True == 1 and 1.0 == 1 would merge keys unseen
+        ka, kb, kv = cls._KEYS
+        wa, wb, wv = cls._WHAT
+        return {
+            (require_int(e[ka], wa), require_int(e[kb], wb)): require_int(e[kv], wv)
+            for e in rows
+        }
+
+    def to_json(self) -> dict:
+        return {"entries": self._json_entries()}
+
+    @classmethod
+    def from_json(cls, data: Mapping):
+        return cls(cls._parse_entries(data["entries"]))
+
+
+class BWPolynomial(_SparseTable):
+    """Bivariate layer polynomial sum_{i,j} c_{ij} t^j w^i, stored as the
+    table (i, j) -> c_{ij}.
 
     Row i collects the h-polynomial of the i-dimensional layer; the w-degree
     equals the Krull dimension of the algebra the polynomial describes (the
     zero polynomial, from the unit ideal, reports dimension -1).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _KEYS = ("i", "j", "c")
+    _WHAT = ("layer index", "degree", "coefficient")
 
-    def __init__(self, coeffs: Mapping[tuple[int, int], int]):
-        clean: dict[tuple[int, int], int] = {}
-        for (i, j), c in coeffs.items():
-            if require_int(i, "layer index") < 0 or require_int(j, "degree") < 0:
-                raise ValueError("layer and degree indices must be non-negative")
-            c = require_int(c, "coefficient")
-            if c:
-                clean[(i, j)] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BWPolynomial is immutable")
+    def _check_index(self, i: int, j: int) -> None:
+        if i < 0 or j < 0:
+            raise ValueError("layer and degree indices must be non-negative")
 
     @classmethod
     def from_rows(cls, rows: Mapping[int, UniPoly]) -> "BWPolynomial":
-        acc: dict[tuple[int, int], int] = {}
-        for i, p in rows.items():
-            for j, c in enumerate(p.coeffs):
-                if c:
-                    acc[(i, j)] = c
-        return cls(acc)
+        return cls({(i, j): c for i, p in rows.items() for j, c in enumerate(p.coeffs)})
 
     @classmethod
     def zero(cls) -> "BWPolynomial":
@@ -878,21 +923,21 @@ class BWPolynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.entries
 
     def w_degree(self) -> int:
         """Largest layer index with a nonzero row; -1 for the zero polynomial."""
-        return max((i for i, _ in self.coeffs), default=-1)
+        return max((i for i, _ in self.entries), default=-1)
 
     def t_degree(self) -> int:
-        return max((j for _, j in self.coeffs), default=-1)
+        return max((j for _, j in self.entries), default=-1)
 
     def row(self, i: int) -> UniPoly:
-        top = max((j for (k, j) in self.coeffs if k == i), default=-1)
-        return UniPoly(self.coeffs.get((i, j), 0) for j in range(top + 1))
+        top = max((j for (k, j) in self.entries if k == i), default=-1)
+        return UniPoly(self.value(i, j) for j in range(top + 1))
 
     def rows(self) -> dict[int, UniPoly]:
-        return {i: self.row(i) for i in sorted({k for k, _ in self.coeffs})}
+        return {i: self.row(i) for i in sorted({k for k, _ in self.entries})}
 
     def specialize(self) -> HilbertSeries:
         """Substitute w = 1/(1-t), returning the canonical Hilbert series."""
@@ -904,48 +949,17 @@ class BWPolynomial:
             num = num + p * UniPoly.one_minus_t_power(d - i)
         return HilbertSeries(num, d).canonical()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BWPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs, key=lambda ij: (ij[0], ij[1])):
-            c = self.coeffs[(i, j)]
-            sign = "-" if c < 0 else "+"
-            a = abs(c)
-            tpart = "" if j == 0 else ("t" if j == 1 else f"t^{j}")
-            wpart = "" if i == 0 else ("w" if i == 1 else f"w^{i}")
-            if tpart or wpart:
-                body = ("" if a == 1 else str(a)) + tpart + wpart
-            else:
-                body = str(a)
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return _signed_sum(
+            (c, _power("t", j) + _power("w", i)) for (i, j), c in sorted(self.entries.items())
+        )
 
     def __repr__(self) -> str:
         return f"BWPolynomial({self})"
 
     def to_json(self) -> dict:
-        terms = [
-            {"i": i, "j": j, "c": self.coeffs[(i, j)]}
-            for (i, j) in sorted(self.coeffs, key=lambda ij: (ij[0], ij[1]))
-        ]
-        return {"dim": self.w_degree(), "terms": terms}
+        return {"dim": self.w_degree(), "terms": self._json_entries()}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BWPolynomial":
-        return cls(
-            {
-                (require_int(t["i"], "layer index"), require_int(t["j"], "degree")):
-                    require_int(t["c"], "coefficient")
-                for t in data["terms"]
-            }
-        )
+        return cls(cls._parse_entries(data["terms"]))

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
-from .ring import Monomial, RingSpec, UniPoly, _sparse_rank, exponent_mask, require_int
+from .ring import Monomial, RingSpec, UniPoly, _SparseTable, _sparse_rank, exponent_mask, require_int
 
 Face = frozenset[int]
 
@@ -117,27 +117,19 @@ def face_degree(cpx: SimplicialComplex, sigma: Iterable[int]) -> int:
     return max(degs)
 
 
-class _Triangle:
+class _Triangle(_SparseTable):
     """Sparse integer array indexed by (degree i, cardinality j), 0 <= j <= i <= d."""
 
-    __slots__ = ("d", "entries")
+    __slots__ = ("d",)
+    _WHAT = ("degree", "cardinality", "entry")
 
     def __init__(self, d: int, entries: Mapping[tuple[int, int], int]):
-        clean = {}
-        for (i, j), v in entries.items():
-            if not 0 <= require_int(j, "cardinality") <= require_int(i, "degree") <= d:
-                raise ValueError(f"triangle index ({i},{j}) outside 0<=j<=i<={d}")
-            v = require_int(v, "entry")
-            if v:
-                clean[(i, j)] = v
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "d", require_int(d, "dimension"))
+        super().__init__(entries)
 
-    def __setattr__(self, *_):
-        raise AttributeError("triangle is immutable")
-
-    def value(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
+    def _check_index(self, i: int, j: int) -> None:
+        if not 0 <= j <= i <= self.d:
+            raise ValueError(f"triangle index ({i},{j}) outside 0<=j<=i<={self.d}")
 
     def row(self, i: int) -> UniPoly:
         return UniPoly(self.value(i, j) for j in range(i + 1))
@@ -146,14 +138,9 @@ class _Triangle:
         return {i: self.row(i) for i in range(self.d + 1)}
 
     def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and self.d == other.d
-            and self.entries == other.entries
-        )
+        return super().__eq__(other) and self.d == other.d
 
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.d, frozenset(self.entries.items())))
+    __hash__ = _SparseTable.__hash__
 
     def __str__(self) -> str:
         lines = []
@@ -163,24 +150,11 @@ class _Triangle:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "entries": [
-                {"i": i, "j": j, "value": v}
-                for (i, j), v in sorted(self.entries.items())
-            ],
-        }
+        return {"d": self.d, "entries": self._json_entries()}
 
     @classmethod
     def from_json(cls, data: Mapping):
-        return cls(
-            require_int(data["d"], "dimension"),
-            {
-                (require_int(e["i"], "degree"), require_int(e["j"], "cardinality")):
-                    require_int(e["value"], "entry")
-                for e in data["entries"]
-            },
-        )
+        return cls(data["d"], cls._parse_entries(data["entries"]))
 
 
 class FTriangle(_Triangle):
@@ -403,7 +377,7 @@ def graded_betti_hochster(cpx: SimplicialComplex, p: int | None = None) -> Betti
     return BettiTable(entries)
 
 
-class LocalCohomologyTable:
+class LocalCohomologyTable(_SparseTable):
     """Hilbert series of the local cohomology modules H^i_m, stored as integer
     coefficients N_{i,c} against the basis (t-1)^(-c):
 
@@ -414,21 +388,9 @@ class LocalCohomologyTable:
     inputs: the polynomial part of the series).
     """
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Mapping[tuple[int, int], int]):
-        clean = {}
-        for (i, c), v in entries.items():
-            v = require_int(v, "entry")
-            if v:
-                clean[(require_int(i, "cohomological degree"), require_int(c, "face size"))] = v
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LocalCohomologyTable is immutable")
-
-    def value(self, i: int, c: int) -> int:
-        return self.entries.get((i, c), 0)
+    __slots__ = ()
+    _KEYS = ("i", "c", "value")
+    _WHAT = ("cohomological degree", "face size", "entry")
 
     def cohomological_degrees(self) -> list[int]:
         return sorted({i for i, _ in self.entries})
@@ -443,12 +405,6 @@ class LocalCohomologyTable:
                 raise ValueError("series has a polynomial part; no single (t-1)^i form")
             out = out + UniPoly.one_minus_t_power(i - c) * ((-1) ** (i - c) * v)
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LocalCohomologyTable) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.entries.items()))
 
     def __str__(self) -> str:
         lines = []
@@ -466,27 +422,6 @@ class LocalCohomologyTable:
                 )
                 lines.append(f"H^{i}: {body}")
         return "\n".join(lines) if lines else "(zero)"
-
-    def __repr__(self) -> str:
-        return f"LocalCohomologyTable({self.entries})"
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"i": i, "c": c, "value": v}
-                for (i, c), v in sorted(self.entries.items())
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "LocalCohomologyTable":
-        return cls(
-            {
-                (require_int(e["i"], "cohomological degree"), require_int(e["c"], "face size")):
-                    require_int(e["value"], "entry")
-                for e in data["entries"]
-            }
-        )
 
 
 def _link_homology(

@@ -206,6 +206,27 @@ def test_betti_payloads(capsys, complex_path, tmp_path):
     assert main(["betti", "--input", str(mixed)]) == 2
 
 
+def test_betti_of_squarefree_ideal_takes_the_hochster_route(capsys, ideal_path, complex_path):
+    # the worked ideal is squarefree but not strongly stable: the CLI builds
+    # its complex and must print what the complex itself gives
+    for field in ("q", "p:2"):
+        via_ideal = run_json(capsys, ["betti", "--input", ideal_path, "--field", field])
+        via_complex = run_json(capsys, ["betti", "--input", complex_path, "--field", field])
+        assert via_ideal["route"] == "hochster"
+        assert via_ideal == via_complex
+
+
+def test_certification_failure_exits_3(capsys, ideal_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise bwkit.NotCertified("trials kept disagreeing")
+
+    monkeypatch.setattr(bwkit.cli, "gin", refuse)
+    assert main(["gin", "--input", ideal_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certification failure:")
+
+
 def test_betti_refuses_large_squarefree_ideal_before_building_its_complex(capsys, tmp_path):
     # 15 disjoint edges: the complex has 2^15 facets, refused before it is built
     gens = [[int(v // 2 == k) for v in range(30)] for k in range(15)]
@@ -302,6 +323,9 @@ def test_output_parsers_reject_non_integers(cls, payload):
         lambda: BettiTable({(0, 0): 1.9}),
         lambda: HTriangle(1, {(1, 0): 1.0}),
         lambda: LocalCohomologyTable({(0, 0.5): 1}),
+        # a zero entry is dropped only after its index is checked
+        lambda: BettiTable({(0.5, 0): 0}),
+        lambda: LocalCohomologyTable({(0, True): 0}),
     ],
 )
 def test_library_constructors_reject_non_integers(build):
@@ -309,10 +333,54 @@ def test_library_constructors_reject_non_integers(build):
         build()
 
 
-def test_text_format(capsys, ideal_path):
-    assert main(["bw", "--input", ideal_path, "--format", "text"]) == 0
-    out = capsys.readouterr().out
-    assert "w^3" in out
+# --format text stdout of every verb on the worked examples
+TEXT_GOLDENS = {
+    ("bw", "ideal"): "w^3 + 3tw^3 - t^3w^3\n",
+    ("hilbert", "ideal"): "(1 + 3t - t^3)/(1-t)^3\n",
+    ("h-triangle", "complex"): "0: 0\n1: 0 0\n2: 0 0 0\n3: 1 3 0 -1\n",
+    ("gin", "ideal"): (
+        "<x1*x4^2, x1^2, x1*x2, x2^2, x1*x3, x2*x3, x3^2>    seed=0 trials=2 certified=True\n"
+    ),
+    ("filtration", "ideal"): (
+        "I<0> = <x1*x2*x3, x1*x4, x2*x5, x4*x5, x3*x6, x4*x6, x5*x6>\n"
+        "I<1> = <x1*x2*x3, x1*x4, x2*x5, x4*x5, x3*x6, x4*x6, x5*x6>\n"
+        "I<2> = <x1*x2*x3, x1*x4, x2*x5, x4*x5, x3*x6, x4*x6, x5*x6>\n"
+        "I<3> = <1>\n"
+    ),
+    ("scm", "ideal"): (
+        "scm: false\n"
+        "witness row 2: 0 vs t + t^2\n"
+        "criterion depth: fails at i=2: depth 2 < 3\n"
+        "criterion gin-chain-stable: fails at i=2: "
+        "<x1*x4^2, x1^2, x1*x2, x2^2, x1*x3, x2*x3, x3^2> vs <x2^2, x2*x3, x3^2, x1>\n"
+        "criterion gin-chain-swap: fails at i=2: "
+        "<x1*x4^2, x1^2, x1*x2, x2^2, x1*x3, x2*x3, x3^2> vs <x2^2, x2*x3, x3^2, x1>\n"
+        "criterion hilbert-gin-pair: fails at i=2: "
+        "(1 - 6t^2 + 7t^3 - 3t^5 + t^6)/(1-t)^6 vs (1 - t - 3t^2 + 5t^3 - 2t^4)/(1-t)^6\n"
+        "criterion hilbert-input-pair: fails at i=2: "
+        "(1 - 6t^2 + 7t^3 - 3t^5 + t^6)/(1-t)^6 vs (1 - t - 3t^2 + 5t^3 - 2t^4)/(1-t)^6\n"
+    ),
+    ("local-cohomology", "complex"): "H^2: (-2 + t + t^2)/(t-1)^2\nH^3: 3/(t-1)^3\n",
+    ("alexander-dual", "complex"): (
+        "complex[n=6; {4,5,6}, {1,2,3,4}, {1,2,3,5}, {1,2,3,6}, {1,2,4,5}, {1,3,4,6}, {2,3,5,6}]\n"
+    ),
+    ("shift", "complex"): "complex[n=6; {1,5}, {1,6}, {2,5,6}, {3,5,6}, {4,5,6}]\n",
+    ("betti", "complex"): (
+        "           0     1     2     3     4\n"
+        "total:     1     7    11     6     1\n"
+        "    0:     1     .     .     .     .\n"
+        "    1:     .     6     8     3     .\n"
+        "    2:     .     1     3     3     1\n"
+    ),
+}
+
+
+def test_text_format(capsys, ideal_path, complex_path):
+    paths = {"ideal": ideal_path, "complex": complex_path}
+    for (verb, kind), expected in TEXT_GOLDENS.items():
+        assert main([verb, "--input", paths[kind], "--format", "text"]) == 0
+        assert capsys.readouterr().out == expected, verb
+    assert {verb for verb, _ in TEXT_GOLDENS} == set(bwkit.cli._HANDLERS)
 
 
 def test_missing_file_and_bad_json(capsys, tmp_path):

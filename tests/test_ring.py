@@ -227,6 +227,22 @@ def test_groebner_widens_packing_for_high_degrees():
     assert list(reduced_groebner_basis([stretch(f) for f in small])) == expected
 
 
+def test_signed_sum_text_goldens():
+    # negative leading terms, fractional and unit coefficients, constants, zero
+    p = parse_polynomial(R3, "-x1^2*x3 + 1/2*x1*x2 - x2^2 + 3*x3^2 + x1 - 7/3")
+    assert str(p) == "-x1^2*x3 + 1/2*x1*x2 - x2^2 + 3*x3^2 + x1 - 7/3"
+    assert str(parse_polynomial(R3, "x2 + 1")) == "x2 + 1"
+    assert str(Polynomial.zero(R3)) == "0"
+    assert str(UniPoly((-3, 1, 0, -1, 2))) == "-3 + t - t^3 + 2t^4"
+    assert str(UniPoly((0, -1, 1))) == "-t + t^2"
+    assert str(UniPoly((5,))) == "5"
+    assert str(UniPoly(())) == "0"
+    bw = BWPolynomial({(0, 0): -2, (0, 1): 1, (1, 0): 1, (1, 1): -1, (2, 3): 3, (2, 0): -1})
+    assert str(bw) == "-2 + t + w - tw - w^2 + 3t^3w^2"
+    assert str(BWPolynomial({(0, 0): 1, (1, 2): -1})) == "1 - t^2w"
+    assert str(BWPolynomial.zero()) == "0"
+
+
 # -- univariate helpers -----------------------------------------------------------
 
 
