@@ -28,7 +28,7 @@ from .monomial import (
     hilbert_numerator,
     is_strongly_stable,
 )
-from .ring import Monomial, Polynomial, RingSpec, parse_polynomial
+from .ring import Polynomial, RingSpec, parse_polynomial
 from .simplicial import (
     SimplicialComplex,
     _refuse_hochster_scan,
@@ -81,48 +81,39 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_input(path: str):
-    """Returns ("ideal", MonomialIdeal), ("polys", ring, [Polynomial]), or
-    ("complex", SimplicialComplex), keyed off the JSON shape."""
+def _load_input(path: str) -> MonomialIdeal | list[Polynomial] | SimplicialComplex:
+    """A MonomialIdeal, a list of Polynomial (some generator is not a
+    monomial), or a SimplicialComplex, keyed off the JSON shape."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
     if "facets" in data:
         try:
-            return ("complex", SimplicialComplex.from_json(data))
+            return SimplicialComplex.from_json(data)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad complex: {exc}") from exc
     if "gens" in data:
         try:
             ring = RingSpec(data["vars"])
-            monos: list[Monomial] = []
-            polys: list[Polynomial] = []
-            monomial_only = True
-            for g in data["gens"]:
-                if isinstance(g, str):
-                    p = parse_polynomial(ring, g)
-                    polys.append(p)
-                    terms = p.terms()
-                    if len(terms) != 1 or terms[0][1] != 1:
-                        monomial_only = False
-                    else:
-                        monos.append(terms[0][0])
-                else:
-                    m = ring.monomial(g)
-                    monos.append(m)
-                    polys.append(Polynomial.from_monomial(ring, m))
-            if monomial_only:
-                return ("ideal", MonomialIdeal(ring, monos))
-            return ("polys", ring, polys)
+            polys = [
+                parse_polynomial(ring, g) if isinstance(g, str)
+                else Polynomial.from_monomial(ring, ring.monomial(g))
+                for g in data["gens"]
+            ]
+            # monic monomial generators make a monomial ideal
+            terms = [p.terms() for p in polys]
+            if all(len(t) == 1 and t[0][1] == 1 for t in terms):
+                return MonomialIdeal(ring, (t[0][0] for t in terms))
+            return polys
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad ideal: {exc}") from exc
     raise InputError('input needs either "facets" (complex) or "vars"/"gens" (ideal)')
 
 
 def _require_monomial(loaded, verb: str) -> MonomialIdeal:
-    if loaded[0] == "ideal":
-        return loaded[1]
-    if loaded[0] == "polys":
+    if isinstance(loaded, MonomialIdeal):
+        return loaded
+    if isinstance(loaded, list):
         raise InputError(f"{verb} wants a monomial ideal (or use `gin` first)")
     raise InputError(f"{verb} wants an ideal, got a complex")
 
@@ -147,12 +138,11 @@ def _parse_field(spec: str) -> int | None:
 
 
 def _cmd_bw(loaded, args):
-    if loaded[0] == "complex":
-        p = bw_from_complex(loaded[1])
+    if isinstance(loaded, SimplicialComplex):
+        p = bw_from_complex(loaded)
         via = False
     elif args.via_gin:
-        source = loaded[1] if loaded[0] == "ideal" else loaded[2]
-        result = gin(source, seed=args.seed)
+        result = gin(loaded, seed=args.seed)
         p = bw_polynomial(result.ideal, route="borel")
         via = True
     else:
@@ -172,19 +162,16 @@ def _cmd_hilbert(loaded, args):
 
 
 def _cmd_h_triangle(loaded, args):
-    if loaded[0] != "complex":
+    if not isinstance(loaded, SimplicialComplex):
         raise InputError("h-triangle wants a complex")
-    ht = h_triangle(loaded[1])
+    ht = h_triangle(loaded)
     return ht.to_json(), str(ht)
 
 
 def _cmd_gin(loaded, args):
-    source = loaded[1] if loaded[0] in ("ideal",) else None
-    if loaded[0] == "polys":
-        source = loaded[2]
-    if source is None:
+    if isinstance(loaded, SimplicialComplex):
         raise InputError("gin wants an ideal")
-    result = gin(source, seed=args.seed)
+    result = gin(loaded, seed=args.seed)
     text = f"{result.ideal}    seed={result.seed} trials={result.trials} certified={result.borel_certified}"
     return result.to_json(), text
 
@@ -214,8 +201,8 @@ def _cmd_scm(loaded, args):
 
 
 def _cmd_local_cohomology(loaded, args):
-    if loaded[0] == "complex":
-        table = local_cohomology_hochster(loaded[1], _parse_field(args.field))
+    if isinstance(loaded, SimplicialComplex):
+        table = local_cohomology_hochster(loaded, _parse_field(args.field))
         route = "hochster"
     else:
         ideal = _require_monomial(loaded, "local-cohomology")
@@ -230,25 +217,25 @@ def _cmd_local_cohomology(loaded, args):
 
 
 def _cmd_alexander_dual(loaded, args):
-    if loaded[0] != "complex":
+    if not isinstance(loaded, SimplicialComplex):
         raise InputError("alexander-dual wants a complex")
     try:
-        dual = alexander_dual(loaded[1])
+        dual = alexander_dual(loaded)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return dual.to_json(), str(dual)
 
 
 def _cmd_shift(loaded, args):
-    if loaded[0] != "complex":
+    if not isinstance(loaded, SimplicialComplex):
         raise InputError("shift wants a complex")
-    shifted = symmetric_shift(loaded[1], seed=args.seed)
+    shifted = symmetric_shift(loaded, seed=args.seed)
     return shifted.to_json(), str(shifted)
 
 
 def _cmd_betti(loaded, args):
-    if loaded[0] == "complex":
-        table = graded_betti_hochster(loaded[1], _parse_field(args.field))
+    if isinstance(loaded, SimplicialComplex):
+        table = graded_betti_hochster(loaded, _parse_field(args.field))
         route = "hochster"
     else:
         ideal = _require_monomial(loaded, "betti")

@@ -17,7 +17,7 @@ from .monomial import (
     dimension_filtration,
     hilbert_numerator,
 )
-from .ring import BWPolynomial, HilbertSeries, UniPoly
+from .ring import BWPolynomial, UniPoly
 from .simplicial import LocalCohomologyTable, SimplicialComplex, h_triangle
 
 
@@ -29,12 +29,12 @@ class NotSCM(ValueError):
 class LayerDecomposition:
     """Filtration chain plus the h-polynomial of each layer U_i = I^<i>/I^<i-1>,
     i = 0..d (the virtual I^<-1> is I itself, so layer 0 can be nonzero only
-    for depth-zero quotients)."""
+    for depth-zero quotients).  The Hilbert numerator of I and of each chain
+    level is computed once per ideal and kept on it, so asking for it again
+    after the decomposition costs nothing."""
 
     chain: FiltrationChain
     layer_h: tuple[UniPoly, ...]
-    # hilbert_numerator of I, then of each chain level
-    numerators: tuple[HilbertSeries, ...]
 
     @property
     def d(self) -> int:
@@ -51,16 +51,11 @@ def layer_decomposition(
     R/I^<j> over (1-t)^n, K_{-1} taken for I itself.  Exact divisions."""
     chain = dimension_filtration(ideal, route=route)
     n = ideal.ring.n
-    # the chain is increasing, so equal levels are neighbours: a level equal
-    # to the one before it (I itself before I^<0>) reuses its numerator
-    series = [hilbert_numerator(ideal)]
-    for prev, q in zip((ideal,) + chain.ideals, chain.ideals):
-        series.append(series[-1] if q == prev else hilbert_numerator(q))
-    ks = [hs.numerator for hs in series]
+    ks = [hilbert_numerator(q).numerator for q in (ideal,) + chain.ideals]
     layers = tuple(
         (ks[i] - ks[i + 1]).divexact_one_minus_t(n - i) for i in range(chain.d + 1)
     )
-    return LayerDecomposition(chain, layers, tuple(series))
+    return LayerDecomposition(chain, layers)
 
 
 def bw_polynomial(ideal: MonomialIdeal, route: str = "decomposition") -> BWPolynomial:
@@ -162,14 +157,13 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
         # gin(I^<i>) and what hangs on it change only where the chain moves;
         # below I^<0> sits I itself, whose gin dec_g already filtered
         prev, level, level_chain = ideal, g, chain_g
-        depth, hs_level = _chain_depth(g, chain_g), dec_g.numerators[0]
+        depth = _chain_depth(g, chain_g)
         for i, q in enumerate(chain_in.ideals[: chain_in.d]):
             if q != prev:
                 prev = q
                 level = gin(q, seed=seed).ideal
                 level_chain = dimension_filtration(level, route="borel")
                 depth = _chain_depth(level, level_chain)
-                hs_level = hilbert_numerator(level)
             swapped = chain_g.ideals[i]
             if depth < i + 1:
                 miss("depth", i, f"depth {depth} < {i + 1}")
@@ -178,11 +172,10 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
                 miss("gin-chain-stable", i, f"{level} vs {own}")
             if level != swapped:
                 miss("gin-chain-swap", i, f"{level} vs {swapped}")
-            # the layer decompositions hold the chain levels' numerators
-            hs_swapped = dec_g.numerators[i + 1]
+            hs_level, hs_swapped = hilbert_numerator(level), hilbert_numerator(swapped)
             if hs_level != hs_swapped:
                 miss("hilbert-gin-pair", i, f"{hs_level} vs {hs_swapped}")
-            hs_input = dec_in.numerators[i + 1]
+            hs_input = hilbert_numerator(q)
             if hs_input != hs_swapped:
                 miss("hilbert-input-pair", i, f"{hs_input} vs {hs_swapped}")
         names = (

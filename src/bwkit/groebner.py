@@ -391,12 +391,9 @@ def _check_inputs(gens: Iterable[Polynomial]) -> tuple[RingSpec, list[Polynomial
 
 def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
     """The unique reduced Groebner basis of a homogeneous ideal in graded revlex."""
-    kept = [g for g in gens if not getattr(g, "is_zero", False)]
-    if not kept:
-        if not gens:
-            raise ValueError("cannot infer the ring from an empty generator list")
+    if gens and all(g.is_zero for g in gens):
         return GroebnerBasis(gens[0].ring, ())
-    ring, polys = _check_inputs(kept)
+    ring, polys = _check_inputs(gens)
 
     def run(packing: _Packing, packed: list[IntPoly]) -> list[Polynomial]:
         raw = _buchberger(packed, _reduce_full, packing)

@@ -40,9 +40,11 @@ def _minimalize(exps: Iterable[Exps]) -> frozenset[Exps]:
 
 
 class MonomialIdeal:
-    """A monomial ideal, stored by its unique minimal generating set."""
+    """A monomial ideal, stored by its unique minimal generating set.  Its
+    Hilbert numerator is computed once, by hilbert_numerator, and kept in the
+    private _numerator slot, which value semantics ignore."""
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "gens", "_numerator")
 
     def __init__(self, ring: RingSpec, gens: Iterable[Monomial]):
         exps = []
@@ -54,6 +56,7 @@ class MonomialIdeal:
         object.__setattr__(
             self, "gens", frozenset(Monomial(e) for e in _minimalize(exps))
         )
+        object.__setattr__(self, "_numerator", None)
 
     def __setattr__(self, *_):
         raise AttributeError("MonomialIdeal is immutable")
@@ -113,8 +116,13 @@ class MonomialIdeal:
         return MonomialIdeal(self.ring, (g.quotient(g.gcd(m)) for g in self.gens))
 
     def saturate_variable(self, i: int) -> "MonomialIdeal":
-        """(I : xi^inf): zero out the xi-exponent of every generator."""
+        """(I : xi^inf): zero out the xi-exponent of every generator.  I itself
+        when xi divides no generator."""
+        if not 1 <= i <= self.ring.n:
+            raise ValueError(f"variable index {i} out of range 1..{self.ring.n}")
         k = i - 1
+        if not any(g.exponents[k] for g in self.gens):
+            return self
         return MonomialIdeal(
             self.ring,
             (
@@ -342,11 +350,15 @@ def _hilbert_numerator_rec(gens: tuple[Exps, ...], memo: dict) -> UniPoly:
 
 
 def hilbert_numerator(ideal: MonomialIdeal) -> HilbertSeries:
-    """Hilb(R/I) presented as K(t) / (1-t)^n via pivot recursion."""
+    """Hilb(R/I) presented as K(t) / (1-t)^n via pivot recursion, computed
+    once per ideal and kept on it."""
     if ideal.is_unit:
         return HilbertSeries(UniPoly.zero(), 0)
-    gens = tuple(sorted(g.exponents for g in ideal.gens))
-    return HilbertSeries(_hilbert_numerator_rec(gens, {}), ideal.ring.n)
+    if ideal._numerator is None:
+        gens = tuple(sorted(g.exponents for g in ideal.gens))
+        series = HilbertSeries(_hilbert_numerator_rec(gens, {}), ideal.ring.n)
+        object.__setattr__(ideal, "_numerator", series)
+    return ideal._numerator
 
 
 def h_polynomial(ideal: MonomialIdeal) -> UniPoly:
@@ -394,12 +406,13 @@ def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> 
         raise ValueError("dimension filtration wants a proper ideal")
     ring = ideal.ring
     n = ring.n
-    d = krull_dimension(ideal)
     ideals = []
     if route == "decomposition":
         # the components of dimension > i change only at their dimensions,
-        # and all of them together cut out I itself
+        # and all of them together cut out I itself; dim R/m^b is the number
+        # of zero entries of b
         comps = _irreducible_components(ideal)
+        d = max(b.count(0) for b in comps)
         top = comps
         level = ideal
         for i in range(d):
@@ -411,6 +424,7 @@ def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> 
     elif route == "borel":
         if not is_strongly_stable(ideal):
             raise ValueError("borel route wants a strongly stable ideal")
+        d = krull_dimension(ideal)
         cur = ideal
         for i in range(d):
             cur = cur.saturate_variable(n - i)

@@ -21,7 +21,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
-from .ring import Monomial, RingSpec, UniPoly, _SparseTable, _sparse_rank, exponent_mask, require_int
+from .ring import (
+    Monomial, RingSpec, UniPoly, _SparseTable, _power, _signed_sum, _sparse_rank, exponent_mask, require_int,
+)
 
 Face = frozenset[int]
 
@@ -417,10 +419,8 @@ class LocalCohomologyTable(_SparseTable):
                 else:
                     lines.append(f"H^{i}: {num}/(t-1)^{i}")
             except ValueError:
-                body = " + ".join(
-                    f"{v}*(t-1)^{-c}" for (k, c), v in sorted(self.entries.items()) if k == i
-                )
-                lines.append(f"H^{i}: {body}")
+                terms = [(v, _power("(t-1)", -c)) for (k, c), v in sorted(self.entries.items()) if k == i]
+                lines.append(f"H^{i}: " + _signed_sum(terms, "*"))
         return "\n".join(lines) if lines else "(zero)"
 
 

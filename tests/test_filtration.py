@@ -29,7 +29,7 @@ from bwkit import (
     scm_check,
     stanley_reisner_ideal,
 )
-from bwkit import filtration
+from bwkit import filtration, groebner, monomial
 from corpus import random_complexes_67, random_monomial_ideal, random_stable_ideal
 from oracles import battery_per_level, monomials_of_degree
 
@@ -87,17 +87,6 @@ def test_layer_vanishes_iff_chain_stalls():
             if k == 0:
                 stalls = dec.chain.ideals[0] == i
             assert dec.layer_h[k].is_zero == stalls
-
-
-def test_layer_decomposition_keeps_its_numerators():
-    rng = random.Random(27)
-    for _ in range(30):
-        i = random_monomial_ideal(rng, max_vars=5, max_degree=4, max_gens=5)
-        if not i.is_proper:
-            continue
-        dec = layer_decomposition(i)
-        levels = (i,) + dec.chain.ideals
-        assert [str(hs) for hs in dec.numerators] == [str(hilbert_numerator(q)) for q in levels]
 
 
 def test_layers_add_up_to_hilbert_series():
@@ -257,16 +246,38 @@ def test_scm_check_battery_matches_per_level_reference():
     assert min(kinds.values()) > 0 and len(kinds) == 5, kinds
 
 
+def _record_computations(monkeypatch) -> list:
+    """Record the generators of every numerator computation: a top-level
+    entry into monomial._hilbert_numerator_rec, which re-enters itself."""
+    computed, depth = [], [0]
+    real_rec = monomial._hilbert_numerator_rec
+
+    def counted_rec(gens, memo):
+        if not depth[0]:
+            computed.append(gens)
+        depth[0] += 1
+        try:
+            return real_rec(gens, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(monomial, "_hilbert_numerator_rec", counted_rec)
+    return computed
+
+
+def _gens_key(q: MonomialIdeal) -> tuple:
+    return tuple(sorted(g.exponents for g in q.gens))
+
+
 def test_scm_check_evaluates_each_distinct_level_once(monkeypatch):
     """On the chain I, I, J, J, <1> the battery gins I and J once each and
-    filters each gin once, and the layer decomposition takes one Hilbert
-    numerator per distinct ideal."""
+    filters each gin once, and the layer decomposition computes one Hilbert
+    numerator per distinct proper ideal."""
     i = repeating_chain_ideal()
     j = ideal(RingSpec(5), (1, 0, 0, 0, 0))
     assert dimension_filtration(i).ideals[:4] == (i, i, j, j)
-    gins, borel, numerators = Counter(), Counter(), Counter()
+    gins, borel = Counter(), Counter()
     real_gin, real_filtration = filtration.gin, filtration.dimension_filtration
-    real_numerator = filtration.hilbert_numerator
 
     def counted_gin(q, seed=0):
         gins[q] += 1
@@ -277,10 +288,6 @@ def test_scm_check_evaluates_each_distinct_level_once(monkeypatch):
             borel[q] += 1
         return real_filtration(q, route=route)
 
-    def counted_numerator(q):
-        numerators[q] += 1
-        return real_numerator(q)
-
     monkeypatch.setattr(filtration, "gin", counted_gin)
     monkeypatch.setattr(filtration, "dimension_filtration", counted_filtration)
     report = scm_check(i, seed=0)
@@ -288,9 +295,43 @@ def test_scm_check_evaluates_each_distinct_level_once(monkeypatch):
     assert gins == {i: 1, j: 1}
     assert borel == {gin(i, seed=0).ideal: 1, gin(j, seed=0).ideal: 1}
 
-    monkeypatch.setattr(filtration, "hilbert_numerator", counted_numerator)
-    layer_decomposition(i)
-    assert numerators == {i: 1, j: 1, MonomialIdeal.unit(i.ring): 1}
+    # a fresh copy of I: scm_check has already numerated i and its levels
+    computed = _record_computations(monkeypatch)
+    layer_decomposition(repeating_chain_ideal())
+    assert Counter(computed) == {_gens_key(i): 1, _gens_key(j): 1}
+
+
+def test_scm_check_numerates_each_ideal_once(monkeypatch):
+    """One scm_check numerates its input and each distinct proper level of
+    the input's chain once, though the layer decomposition, gin's target and
+    the battery all read them.  No other test gins with seed 12, so the gin
+    memo holds none of these ideals yet."""
+    i = repeating_chain_ideal()
+    computed = _record_computations(monkeypatch)
+    numerated, chains = [], []  # the ideal behind each computation, by identity
+    real_numerator, real_filtration = monomial.hilbert_numerator, filtration.dimension_filtration
+
+    def counted_numerator(q):
+        before = len(computed)
+        out = real_numerator(q)
+        if len(computed) > before:
+            numerated.append(q)
+        return out
+
+    def kept_filtration(q, route="decomposition"):
+        chain = real_filtration(q, route=route)
+        if q is i:
+            chains.append(chain)
+        return chain
+
+    for module in (filtration, groebner):
+        monkeypatch.setattr(module, "hilbert_numerator", counted_numerator)
+    monkeypatch.setattr(filtration, "dimension_filtration", kept_filtration)
+    assert scm_check(i, seed=12).scm
+    (chain,) = chains
+    distinct = list({id(q): q for q in (i, *chain.ideals) if q.is_proper}.values())
+    assert len(distinct) == 2
+    assert [sum(q is p for q in numerated) for p in distinct] == [1, 1]
 
 
 # -- local cohomology through the filtration ----------------------------------------

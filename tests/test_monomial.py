@@ -109,6 +109,19 @@ def test_colon_and_saturation_goldens():
     assert m == ideal(R2, (1, 0), (0, 1))
 
 
+def test_saturation_checks_its_index():
+    """Indices outside 1..n are refused, also where the saturation would be
+    the ideal itself; an index whose variable divides no generator gives
+    the ideal itself."""
+    i = ideal(R3, (1, 1, 0))
+    for bad in (-1, 0, 4):
+        for j in (i, MonomialIdeal.zero(R3)):
+            with pytest.raises(ValueError, match="out of range"):
+                j.saturate_variable(bad)
+    assert i.saturate_variable(3) is i
+    assert i.saturate_variable(2) == ideal(R3, (1, 0, 0))
+
+
 def test_intersect_golden():
     a = ideal(R3, (1, 0, 0))
     b = ideal(R3, (0, 1, 1))
@@ -335,6 +348,7 @@ def test_chain_is_increasing():
         if not i.is_proper:
             continue
         chain = dimension_filtration(i)
+        assert chain.d == krull_dimension(i)
         for a, b in zip(chain.ideals, chain.ideals[1:]):
             assert b.contains_ideal(a)
 

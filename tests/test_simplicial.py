@@ -491,6 +491,13 @@ def test_local_cohomology_cm_vanishing():
         assert table.cohomological_degrees() == [c.dim + 1]
 
 
+def test_local_cohomology_polynomial_part_text():
+    """Entries with c < 0 have no single (t-1)^i form; they are written as a
+    signed sum in powers of (t-1)."""
+    table = LocalCohomologyTable({(1, -1): -2, (1, 0): 1, (1, -2): 3})
+    assert str(table) == "H^1: 3*(t-1)^2 - 2*(t-1) + 1"
+
+
 def test_local_cohomology_json_roundtrip():
     table = local_cohomology_hochster(worked_example_complex())
     assert LocalCohomologyTable.from_json(table.to_json()) == table
