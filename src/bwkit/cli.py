@@ -82,8 +82,8 @@ def _load_json(path: str):
 
 
 def _load_input(path: str) -> MonomialIdeal | list[Polynomial] | SimplicialComplex:
-    """A MonomialIdeal, a list of Polynomial (some generator is not a
-    monomial), or a SimplicialComplex, keyed off the JSON shape."""
+    """A MonomialIdeal, a list of nonzero Polynomial (some generator is not
+    a monomial), or a SimplicialComplex, keyed off the JSON shape."""
     data = _load_json(path)
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
@@ -100,7 +100,9 @@ def _load_input(path: str) -> MonomialIdeal | list[Polynomial] | SimplicialCompl
                 else Polynomial.from_monomial(ring, ring.monomial(g))
                 for g in data["gens"]
             ]
-            # monic monomial generators make a monomial ideal
+            polys = [p for p in polys if not p.is_zero]
+            # monic monomial generators make a monomial ideal (no generators
+            # make the zero ideal)
             terms = [p.terms() for p in polys]
             if all(len(t) == 1 and t[0][1] == 1 for t in terms):
                 return MonomialIdeal(ring, (t[0][0] for t in terms))
@@ -139,6 +141,8 @@ def _parse_field(spec: str) -> int | None:
 
 def _cmd_bw(loaded, args):
     if isinstance(loaded, SimplicialComplex):
+        if args.via_gin:
+            raise InputError("--via-gin wants an ideal, got a complex")
         p = bw_from_complex(loaded)
         via = False
     elif args.via_gin:

@@ -2,25 +2,26 @@
 ideals, and certified generic initial ideals.
 
 One pair loop (`_buchberger`: pairs by ascending lcm degree, coprime-lead and
-chain criteria) drives two engines that differ only in their reduction.  Both
-key terms by packed monomials (`ring._Packing`): an exponent vector is one
-int, W bits a variable with x_n in the top field.  A product is a sum, a
-quotient a difference, g divides m when m - g is non-negative with no
-field's top bit set, and within one degree (every polynomial here is
-homogeneous) the smallest key is the revlex-greatest, so the reduction heaps
-hold plain ints.  W fits the input degrees; a pair whose lcm degree does not
-fit reruns the whole computation with wider fields, so nothing wraps.  The
-exact engine over Q works fraction-free: polynomials are primitive integer
-coefficient dicts, reduction is pseudo-reduction (scale by the divisor's
-leading coefficient, subtract, strip content at the end), and monic rational
-polynomials appear only at the public boundary.  It serves
-`reduced_groebner_basis`, `initial_ideal` and the Hilbert target of gin.
-The modular engine keeps monic basis elements with coefficients mod a
-word-size prime p and yields leading monomials only.
+chain criteria) and one full reduction (`_reduce`) run over Q or over F_p;
+the prime, or None for Q, chooses the arithmetic.  Terms are keyed by
+packed monomials (`ring._Packing`): an exponent vector is one int, W bits a
+variable with x_n in the top field.  A product is a sum, a quotient a
+difference, g divides m when m - g is non-negative with no field's top bit
+set, and within one degree (every polynomial here is homogeneous) the
+smallest key is the revlex-greatest, so the reduction heap holds plain ints.
+W fits the input degrees; a pair whose lcm degree does not fit reruns the
+whole computation with wider fields, so nothing wraps.  Over Q the
+arithmetic is fraction-free: polynomials are primitive integer coefficient
+dicts, reduction is pseudo-reduction (scale by the divisor's leading
+coefficient when it is not 1, subtract, strip content at the end), and
+monic rational polynomials appear only at the public boundary; this serves
+`reduced_groebner_basis` and `initial_ideal`.  Over F_p the basis elements
+are monic with coefficients reduced mod a word-size prime p, and the gin
+trials read off their leading monomials only.
 
 gin(I) draws a dense square integer matrix with entries uniform in [-B, B]
 (B = 10^4 to start) from a seeded RNG, moves the generators, reduces them mod
-p and runs the modular engine.  Trial k uses the k-th of ten fixed primes
+p and runs Buchberger over F_p.  Trial k uses the k-th of ten fixed primes
 below 2^31 (2^31-1, 2^31-19, ...), so the matrix stream depends on the seed
 alone.  Each trial stops at the first lcm-degree transition where its leads
 reach the Hilbert series of I (of in(I) over Q for polynomial input), and
@@ -40,7 +41,6 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -122,17 +122,18 @@ class _Basis:
         return out
 
 
-def _reduce_full(p: IntPoly, basis: Sequence[_Basis], guard: int) -> IntPoly:
-    """Primitive full remainder of homogeneous p modulo the basis
-    (pseudo-reduction).
+def _reduce(
+    p: IntPoly, basis: Sequence[_Basis], guard: int, prime: int | None
+) -> IntPoly:
+    """Full remainder of homogeneous p modulo the basis: primitive over Q
+    (prime None), monic with coefficients in [0, prime) over F_prime.
 
     Terms are eliminated from the revlex top down, which within one degree is
-    the smallest key first; every reduction step may rescale the pending
-    polynomial and accumulated remainder by the divisor's leading
-    coefficient, keeping everything integral.
+    the smallest key first.  Over Q the step is pseudo-reduction: it may
+    rescale the pending polynomial and accumulated remainder by the divisor's
+    leading coefficient, keeping everything integral.  Over F_prime every
+    basis element is monic, so no step rescales.
     """
-    if not p:
-        return {}
     work = dict(p)
     heap = list(work)
     heapq.heapify(heap)
@@ -141,45 +142,8 @@ def _reduce_full(p: IntPoly, basis: Sequence[_Basis], guard: int) -> IntPoly:
         m = heapq.heappop(heap)
         # a popped key never comes back: every update lands below it in revlex
         c = work.pop(m)
-        if not c:
-            continue
-        for g in basis:
-            # _Packing.divides, inlined; q is the quotient
-            q = m - g.lm
-            if q >= 0 and not q & guard:
-                d = gcd(c, g.lc)
-                a = g.lc // d
-                b = c // d
-                if a != 1:
-                    for k in work:
-                        work[k] *= a
-                    for k in rem:
-                        rem[k] *= a
-                for mt, ct in g.tail:
-                    key = mt + q
-                    prev = work.get(key)
-                    if prev is None:
-                        work[key] = -b * ct
-                        heapq.heappush(heap, key)
-                    else:
-                        work[key] = prev - b * ct
-                break
-        else:
-            rem[m] = c
-    return _primitive(rem)
-
-
-def _reduce_mod(p: IntPoly, basis: Sequence[_Basis], guard: int, prime: int) -> IntPoly:
-    """Monic full remainder of homogeneous p mod prime, modulo a basis of
-    monic elements with coefficients in [0, prime)."""
-    work = dict(p)
-    heap = list(work)
-    heapq.heapify(heap)
-    rem: IntPoly = {}
-    while heap:
-        m = heapq.heappop(heap)
-        # a popped key never comes back, so terms are reduced mod prime here
-        c = work.pop(m) % prime
+        if prime is not None:
+            c %= prime
         if not c:
             continue
         for g in basis:
@@ -190,15 +154,25 @@ def _reduce_mod(p: IntPoly, basis: Sequence[_Basis], guard: int, prime: int) -> 
         else:
             rem[m] = c
             continue
-        c = prime - c
+        if g.lc != 1:
+            d = gcd(c, g.lc)
+            a = g.lc // d
+            c //= d
+            if a != 1:
+                for k in work:
+                    work[k] *= a
+                for k in rem:
+                    rem[k] *= a
         for mt, ct in g.tail:
             key = mt + q
             prev = work.get(key)
             if prev is None:
-                work[key] = c * ct
+                work[key] = -c * ct
                 heapq.heappush(heap, key)
             else:
-                work[key] = prev + c * ct
+                work[key] = prev - c * ct
+    if prime is None:
+        return _primitive(rem)
     if rem:
         # terms arrive revlex-descending, so the first one is the lead
         inv = pow(next(iter(rem.values())), -1, prime)
@@ -229,12 +203,12 @@ def _spair(f: _Basis, g: _Basis, packing: _Packing) -> IntPoly:
 
 def _buchberger(
     inputs: list[IntPoly],
-    reduce: Callable[[IntPoly, Sequence[_Basis], int], IntPoly],
+    prime: int | None,
     packing: _Packing,
     target: HilbertSeries | None = None,
 ) -> list[_Basis]:
     """Buchberger with the coprime-lead and chain criteria, pairs processed in
-    ascending lcm-degree order; `reduce` is the engine's full reduction.
+    ascending lcm-degree order, over Q (prime None) or F_prime.
 
     Homogeneous inputs must fit the packing; a pair whose lcm degree does not
     raises _Overflow.  With the target Hilbert series of the ideal, the loop
@@ -264,7 +238,7 @@ def _buchberger(
         return packing.degree(lead), -lead
 
     for p in sorted(inputs, key=order):
-        r = reduce(p, G, guard)
+        r = _reduce(p, G, guard, prime)
         if r:
             add(r)
 
@@ -300,7 +274,7 @@ def _buchberger(
                     break
         if skip:
             continue
-        r = reduce(_spair(fi, fj, packing), G, guard)
+        r = _reduce(_spair(fi, fj, packing), G, guard, prime)
         if r:
             add(r)
     return G
@@ -320,7 +294,7 @@ def _autoreduce(G: list[_Basis], packing: _Packing) -> list[IntPoly]:
     out: list[IntPoly] = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        out.append(_reduce_full(g.as_dict(), others, packing.guard))
+        out.append(_reduce(g.as_dict(), others, packing.guard, None))
     return out
 
 
@@ -377,26 +351,28 @@ class GroebnerBasis:
 
 
 def _check_inputs(gens: Iterable[Polynomial]) -> tuple[RingSpec, list[Polynomial]]:
-    polys = [g for g in gens if not g.is_zero]
-    if not polys:
+    """The ring of a non-empty list of homogeneous generators from one ring,
+    and its nonzero generators (none for the zero ideal)."""
+    gens = list(gens)
+    if not gens:
         raise ValueError("cannot infer the ring from an empty generator list")
-    ring = polys[0].ring
-    for g in polys:
+    ring = gens[0].ring
+    for g in gens:
         if g.ring != ring:
             raise ValueError("generators from different rings")
         if not g.is_homogeneous:
             raise ValueError(f"non-homogeneous generator: {g}")
-    return ring, polys
+    return ring, [g for g in gens if not g.is_zero]
 
 
 def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
     """The unique reduced Groebner basis of a homogeneous ideal in graded revlex."""
-    if gens and all(g.is_zero for g in gens):
-        return GroebnerBasis(gens[0].ring, ())
     ring, polys = _check_inputs(gens)
+    if not polys:
+        return GroebnerBasis(ring, ())
 
     def run(packing: _Packing, packed: list[IntPoly]) -> list[Polynomial]:
-        raw = _buchberger(packed, _reduce_full, packing)
+        raw = _buchberger(packed, None, packing)
         return [_to_polynomial(ring, p, packing) for p in _autoreduce(raw, packing)]
 
     elements = _packed_run([_to_int_poly(f) for f in polys], ring.n, run)
@@ -479,18 +455,12 @@ def _leads(G: Sequence[_Basis], packing: _Packing) -> MonomialIdeal:
     return MonomialIdeal(RingSpec(packing.n), (Monomial(packing.unpack(g.lm)) for g in G))
 
 
-def _gin_target(
-    gens: Sequence[Polynomial] | MonomialIdeal, int_gens: list[MonoPoly], n: int
-) -> HilbertSeries:
+def _gin_target(gens: Sequence[Polynomial] | MonomialIdeal) -> HilbertSeries:
     """Hilbert series every trial must reach: that of the input itself for a
     monomial ideal, that of its initial ideal over Q otherwise."""
-    if isinstance(gens, MonomialIdeal):
-        return hilbert_numerator(gens)
-
-    def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal:
-        return _leads(_buchberger(packed, _reduce_full, packing), packing)
-
-    return hilbert_numerator(_packed_run(int_gens, n, run))
+    return hilbert_numerator(
+        gens if isinstance(gens, MonomialIdeal) else initial_ideal(gens)
+    )
 
 
 def _gin_trial(
@@ -505,7 +475,6 @@ def _gin_trial(
     n = len(matrix)
     if _sparse_rank([dict(enumerate(r)) for r in matrix], prime) != n:
         return None
-    reduce = partial(_reduce_mod, prime=prime)
 
     def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal:
         moved = []
@@ -513,7 +482,7 @@ def _gin_trial(
             q = {m: c % prime for m, c in p.items() if c % prime}
             if q:
                 moved.append(q)
-        return _leads(_buchberger(moved, reduce, packing, target), packing)
+        return _leads(_buchberger(moved, prime, packing, target), packing)
 
     return _packed_run(int_gens, n, run)
 
@@ -536,6 +505,8 @@ def gin(
         key: tuple = (seed, gens)
     else:
         ring, polys = _check_inputs(gens)
+        if not polys:
+            return GinResult(MonomialIdeal.zero(ring), seed, 0, True)
         n = ring.n
         key = (
             n,
@@ -557,7 +528,7 @@ def gin(
         if isinstance(gens, MonomialIdeal)
         else [_to_int_poly(f) for f in polys]
     )
-    target = _gin_target(gens, int_gens, n)
+    target = _gin_target(gens)
     rng = random.Random(seed)
     bound = 10**4
     for r in range(5):

@@ -93,9 +93,13 @@ class MonomialIdeal:
         return all(g.is_squarefree() for g in self.gens)
 
     def contains(self, m: Monomial) -> bool:
+        if len(m.exponents) != self.ring.n:
+            raise ValueError("monomial from a different ring")
         return any(g.divides(m) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
+        if self.ring != other.ring:
+            raise ValueError("ideals from different rings")
         return all(self.contains(g) for g in other.gens)
 
     def sorted_gens(self) -> list[Monomial]:

@@ -760,7 +760,7 @@ class HilbertSeries:
     __slots__ = ("numerator", "denom_power")
 
     def __init__(self, numerator: UniPoly, denom_power: int):
-        if denom_power < 0:
+        if require_int(denom_power, "denominator power") < 0:
             raise ValueError("denominator power must be non-negative")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denom_power", 0 if numerator.is_zero else denom_power)
@@ -828,7 +828,7 @@ class HilbertSeries:
     def from_json(cls, data: Mapping) -> "HilbertSeries":
         return cls(
             UniPoly(require_int(c, "numerator coefficient") for c in data["numerator"]),
-            require_int(data["denom_power"], "denominator power"),
+            data["denom_power"],
         )
 
 

@@ -22,6 +22,7 @@ from bwkit import (
     LocalCohomologyTable,
     MonomialIdeal,
     SimplicialComplex,
+    UniPoly,
 )
 from bwkit.cli import main
 
@@ -99,6 +100,13 @@ def test_bw_of_complex_uses_h_triangle(capsys, complex_path, ideal_path):
     from_complex = run_json(capsys, ["bw", "--input", complex_path])
     from_ideal = run_json(capsys, ["bw", "--input", ideal_path])
     assert from_complex["bw"] == from_ideal["bw"]
+
+
+def test_bw_via_gin_rejects_a_complex(capsys, complex_path):
+    assert main(["bw", "--input", complex_path, "--via-gin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --via-gin wants an ideal, got a complex\n"
 
 
 def test_output_is_deterministic(capsys, ideal_path):
@@ -326,6 +334,8 @@ def test_output_parsers_reject_non_integers(cls, payload):
         # a zero entry is dropped only after its index is checked
         lambda: BettiTable({(0.5, 0): 0}),
         lambda: LocalCohomologyTable({(0, True): 0}),
+        lambda: HilbertSeries(UniPoly([1]), 1.5),
+        lambda: HilbertSeries(UniPoly([1]), True),
     ],
 )
 def test_library_constructors_reject_non_integers(build):
@@ -432,6 +442,17 @@ def test_polynomial_input_bw_via_gin(capsys, tmp_path):
     assert BWPolynomial.from_json(data["bw"]) == BWPolynomial({(2, 0): 1})
     # without --via-gin a polynomial input cannot feed the monomial pipeline
     assert main(["bw", "--input", str(path)]) == 2
+
+
+def test_zero_generators_are_dropped(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"vars": 2, "gens": ["0"]}))
+    data = run_json(capsys, ["gin", "--input", str(path)])
+    assert data == {"vars": 2, "gens": [], "seed": 0, "trials": 0, "borel_certified": True}
+    path.write_text(json.dumps({"vars": 2, "gens": ["0", "x1*x2"]}))
+    with_zero = run_json(capsys, ["hilbert", "--input", str(path)])
+    path.write_text(json.dumps({"vars": 2, "gens": [[1, 1]]}))
+    assert with_zero == run_json(capsys, ["hilbert", "--input", str(path)])
 
 
 def test_console_script_smoke(tmp_path, ideal_path):

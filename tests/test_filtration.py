@@ -304,8 +304,8 @@ def test_scm_check_evaluates_each_distinct_level_once(monkeypatch):
 def test_scm_check_numerates_each_ideal_once(monkeypatch):
     """One scm_check numerates its input and each distinct proper level of
     the input's chain once, though the layer decomposition, gin's target and
-    the battery all read them.  No other test gins with seed 12, so the gin
-    memo holds none of these ideals yet."""
+    the battery all read them."""
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
     i = repeating_chain_ideal()
     computed = _record_computations(monkeypatch)
     numerated, chains = [], []  # the ideal behind each computation, by identity

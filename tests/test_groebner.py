@@ -233,6 +233,17 @@ def test_gin_trivial_inputs():
         gin([], seed=0)
 
 
+def test_gin_of_zero_polynomials_is_the_zero_ideal():
+    """Zero generators are dropped, as reduced_groebner_basis drops them, but
+    they still name the ring, and it must be the same for all of them."""
+    res = gin([Polynomial.zero(R2), Polynomial.zero(R2)], seed=9)
+    assert res == gin(MonomialIdeal.zero(R2), seed=9)
+    assert res.ideal.ring == R2 and res.trials == 0
+    for build in (gin, reduced_groebner_basis):
+        with pytest.raises(ValueError, match="different rings"):
+            build([Polynomial.zero(R2), Polynomial.zero(R3)])
+
+
 def test_gin_determinism_and_json():
     res1 = gin(worked_example_ideal(), seed=0)
     res2 = gin(worked_example_ideal(), seed=0)

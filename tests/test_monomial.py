@@ -98,6 +98,17 @@ def test_membership_and_containment():
     assert not i.contains_ideal(ideal(R3, (1, 0, 0)))
 
 
+def test_containment_checks_the_ring():
+    """A monomial or ideal of another ring is refused, not truncated."""
+    x1 = ideal(R3, (1, 0, 0))
+    for m in (Monomial((1,)), Monomial((1, 0, 0, 5))):
+        with pytest.raises(ValueError, match="different ring"):
+            x1.contains(m)
+    for other in (ideal(R4, (1, 0, 0, 0)), MonomialIdeal.zero(R2)):
+        with pytest.raises(ValueError, match="different rings"):
+            x1.contains_ideal(other)
+
+
 def test_colon_and_saturation_goldens():
     g = worked_example_gin()
     sat = g.saturate_variable(4)
