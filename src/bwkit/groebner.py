@@ -14,10 +14,11 @@ whole computation with wider fields, so nothing wraps.  Over Q the
 arithmetic is fraction-free: polynomials are primitive integer coefficient
 dicts, reduction is pseudo-reduction (scale by the divisor's leading
 coefficient when it is not 1, subtract, strip content at the end), and
-monic rational polynomials appear only at the public boundary; this serves
-`reduced_groebner_basis` and `initial_ideal`.  Over F_p the basis elements
-are monic with coefficients reduced mod a word-size prime p, and the gin
-trials read off their leading monomials only.
+monic rational polynomials appear only at the public boundary of
+`reduced_groebner_basis`.  `initial_ideal` and gin's target over Q read the
+leading terms of one exact run, with no autoreduction.  Over F_p the basis
+elements are monic with coefficients reduced mod a word-size prime p, and
+the gin trials read off their leading monomials only.
 
 gin(I) draws a dense square integer matrix with entries uniform in [-B, B]
 (B = 10^4 to start) from a seeded RNG, moves the generators, reduces them mod
@@ -380,10 +381,20 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
     return GroebnerBasis(ring, tuple(elements))
 
 
+def _exact_leads(int_gens: list[MonoPoly], n: int) -> MonomialIdeal:
+    """in(I) over Q for nonzero primitive integer generators: the leads of
+    one exact Buchberger run, which generate it without autoreduction."""
+    return _packed_run(
+        int_gens, n, lambda packing, packed: _leads(_buchberger(packed, None, packing), packing)
+    )
+
+
 def initial_ideal(gens: Sequence[Polynomial]) -> MonomialIdeal:
-    """in(I): the monomial ideal of leading terms, via the reduced basis."""
-    gb = reduced_groebner_basis(gens)
-    return gb.leading_ideal()
+    """in(I): the monomial ideal of leading terms of a Groebner basis."""
+    ring, polys = _check_inputs(gens)
+    if not polys:
+        return MonomialIdeal.zero(ring)
+    return _exact_leads([_to_int_poly(f) for f in polys], ring.n)
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
@@ -439,7 +450,9 @@ class GinResult:
         )
 
 
-_GIN_MEMO: dict[tuple, GinResult] = {}
+# gin of a monomial ideal, by (seed, ideal): the filtration levels of one
+# scm_check recur across its calls; polynomial systems are not memoised
+_GIN_MEMO: dict[tuple[int, MonomialIdeal], GinResult] = {}
 
 # trial k of a gin call runs mod _PRIMES[k]: the ten largest primes below 2^31
 _PRIMES = tuple(2**31 - d for d in (1, 19, 61, 69, 85, 99, 105, 151, 159, 171))
@@ -455,11 +468,12 @@ def _leads(G: Sequence[_Basis], packing: _Packing) -> MonomialIdeal:
     return MonomialIdeal(RingSpec(packing.n), (Monomial(packing.unpack(g.lm)) for g in G))
 
 
-def _gin_target(gens: Sequence[Polynomial] | MonomialIdeal) -> HilbertSeries:
+def _gin_target(gens: MonomialIdeal | list[MonoPoly], n: int) -> HilbertSeries:
     """Hilbert series every trial must reach: that of the input itself for a
-    monomial ideal, that of its initial ideal over Q otherwise."""
+    monomial ideal, that of its initial ideal over Q for the primitive
+    integer generators of a polynomial system."""
     return hilbert_numerator(
-        gens if isinstance(gens, MonomialIdeal) else initial_ideal(gens)
+        gens if isinstance(gens, MonomialIdeal) else _exact_leads(gens, n)
     )
 
 
@@ -498,37 +512,24 @@ def gin(
     doubles (five rounds max) before NotCertified is raised.  `trials` counts
     the trials of every round run.  Deterministic in (generators, seed).
     """
+    require_int(seed, "seed")
     if isinstance(gens, MonomialIdeal):
         if gens.is_zero:
             return GinResult(gens, seed, 0, True)
+        hit = _GIN_MEMO.get((seed, gens))
+        if hit is not None:
+            return hit
         n = gens.ring.n
-        key: tuple = (seed, gens)
+        # a monomial generator is already a primitive integer polynomial
+        int_gens = [{g: 1} for g in gens.sorted_gens()]
+        target = _gin_target(gens, n)
     else:
         ring, polys = _check_inputs(gens)
         if not polys:
             return GinResult(MonomialIdeal.zero(ring), seed, 0, True)
         n = ring.n
-        key = (
-            n,
-            seed,
-            tuple(
-                sorted(
-                    tuple(sorted((m.exponents, c) for m, c in f.terms()))
-                    for f in polys
-                )
-            ),
-        )
-    hit = _GIN_MEMO.get(key)
-    if hit is not None:
-        return hit
-
-    # a monomial generator is already a primitive integer polynomial
-    int_gens = (
-        [{g: 1} for g in gens.sorted_gens()]
-        if isinstance(gens, MonomialIdeal)
-        else [_to_int_poly(f) for f in polys]
-    )
-    target = _gin_target(gens)
+        int_gens = [_to_int_poly(f) for f in polys]
+        target = _gin_target(int_gens, n)
     rng = random.Random(seed)
     bound = 10**4
     for r in range(5):
@@ -544,7 +545,8 @@ def gin(
                 and hilbert_numerator(first) == target
             ):
                 result = GinResult(first, seed, 2 * (r + 1), True)
-                _GIN_MEMO[key] = result
+                if isinstance(gens, MonomialIdeal):
+                    _GIN_MEMO[(seed, gens)] = result
                 return result
         bound *= 2
     raise NotCertified(

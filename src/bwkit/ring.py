@@ -36,6 +36,21 @@ def require_int(x, what: str = "value") -> int:
     return x
 
 
+_FIELD_LIMIT = 1 << 31  # keeps trial-division primality under ~46k steps
+
+
+def require_field(p) -> int | None:
+    """p itself when it names a coefficient field: None for Q, or a prime
+    below 2^31 for F_p.  Anything else raises ValueError."""
+    if p is None:
+        return None
+    if require_int(p, "field characteristic") >= _FIELD_LIMIT:
+        raise ValueError(f"field characteristic {p} is too large (must be below 2^31)")
+    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """A standard graded polynomial ring Q[x1..xn], deg xi = 1."""
@@ -58,7 +73,7 @@ class RingSpec:
         return Monomial((0,) * self.n)
 
     def monomial(self, exponents: Sequence[int]) -> "Monomial":
-        m = Monomial(tuple(require_int(e, "exponent") for e in exponents))
+        m = Monomial(tuple(exponents))
         if len(m.exponents) != self.n:
             raise ValueError("exponent vector length does not match ring")
         return m
@@ -97,8 +112,12 @@ class Monomial:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents: tuple[int, ...]):
-        if any(e < 0 for e in exponents):
-            raise ValueError("negative exponent")
+        for e in exponents:
+            # a bare type test: this runs on every monomial built
+            if type(e) is not int:
+                raise ValueError(f"exponent must be an integer, got {e!r}")
+            if e < 0:
+                raise ValueError("negative exponent")
         object.__setattr__(self, "exponents", exponents)
 
     def __setattr__(self, *_):
@@ -130,23 +149,30 @@ class Monomial:
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
 
+    def _zip(self, other: "Monomial") -> zip:
+        """The exponent pairs of two monomials of one ring; monomials of
+        different lengths raise instead of being truncated."""
+        if len(self.exponents) != len(other.exponents):
+            raise ValueError("monomials from rings of different dimension")
+        return zip(self.exponents, other.exponents)
+
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(tuple(a + b for a, b in self._zip(other)))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return all(a <= b for a, b in self._zip(other))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other, exact (other must divide self)."""
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(tuple(a - b for a, b in self._zip(other)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(tuple(max(a, b) for a, b in self._zip(other)))
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return Monomial(tuple(min(a, b) for a, b in self._zip(other)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exponents == other.exponents

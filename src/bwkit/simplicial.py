@@ -8,7 +8,8 @@ Minimal non-faces and the facets of the complex of a squarefree ideal come
 from minimal transversals of vertex bitmasks, never from subset scans.
 
 Homology is computed on faces stored as vertex bitmasks, over Q by default
-or over a prime field when a prime is supplied: each boundary map is a list of
+or over F_p when a prime p below 2^31 is supplied (each homology function
+checks p with ring.require_field first): each boundary map is a list of
 sparse rows of +-1, ranked by elimination on leading columns that keeps the
 rows integral over Q (so the rank is exact) and runs mod p over F_p.
 """
@@ -22,13 +23,24 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
 from .ring import (
-    Monomial, RingSpec, UniPoly, _SparseTable, _power, _signed_sum, _sparse_rank, exponent_mask, require_int,
+    Monomial, RingSpec, UniPoly, _SparseTable, _power, _signed_sum, _sparse_rank, exponent_mask, require_field,
+    require_int,
 )
 
 Face = frozenset[int]
 
 _HOCHSTER_LIMIT = 14  # 2^n subcomplex scans stop being a desk computation
 _FACE_LIMIT = 1 << 18  # faces enumerated one by one
+
+
+def _vertex_set(n: int, vertices: Iterable[int]) -> Face:
+    """The vertices as a set inside the ground set 1..n; a non-integer or
+    out-of-range vertex raises ValueError."""
+    # check before hashing: True == 1 would merge into {1} unseen
+    s = frozenset(require_int(v, "vertex") for v in vertices)
+    if not all(1 <= v <= n for v in s):
+        raise ValueError(f"face {sorted(s)} not inside 1..{n}")
+    return s
 
 
 class SimplicialComplex:
@@ -43,13 +55,9 @@ class SimplicialComplex:
     def __init__(self, n: int, faces: Iterable[Iterable[int]]):
         if require_int(n, "vertex count") < 1:
             raise ValueError("ground set needs at least one vertex")
-        # check before hashing: True == 1 would merge into {1} unseen
-        cand = {frozenset(require_int(v, "vertex") for v in f) for f in faces}
+        cand = {_vertex_set(n, f) for f in faces}
         if not cand:
             raise ValueError("void complex: supply at least the empty face")
-        for f in cand:
-            if not all(1 <= v <= n for v in f):
-                raise ValueError(f"face {sorted(f)} not inside 1..{n}")
         # a face can only lie in a strictly larger one: take the faces by
         # descending size and test each against the kept faces of larger
         # sizes alone, so a large class of one size costs no pairwise scan
@@ -79,7 +87,7 @@ class SimplicialComplex:
         return {frozenset(_vertices(f)) for f in _face_masks(self)}
 
     def is_face(self, sigma: Iterable[int]) -> bool:
-        s = frozenset(sigma)
+        s = _vertex_set(self.n, sigma)
         return any(s <= f for f in self.facets)
 
     def sorted_facets(self) -> list[tuple[int, ...]]:
@@ -112,7 +120,7 @@ class SimplicialComplex:
 
 def face_degree(cpx: SimplicialComplex, sigma: Iterable[int]) -> int:
     """Cardinality of the largest face containing sigma."""
-    s = frozenset(sigma)
+    s = _vertex_set(cpx.n, sigma)
     degs = [len(f) for f in cpx.facets if s <= f]
     if not degs:
         raise ValueError(f"{sorted(s)} is not a face")
@@ -264,14 +272,14 @@ def alexander_dual(cpx: SimplicialComplex) -> SimplicialComplex:
 
 
 def link(cpx: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:
-    s = frozenset(sigma)
+    s = _vertex_set(cpx.n, sigma)
     if not cpx.is_face(s):
         raise ValueError(f"{sorted(s)} is not a face")
     return SimplicialComplex(cpx.n, [f - s for f in cpx.facets if s <= f])
 
 
 def induced_subcomplex(cpx: SimplicialComplex, w: Iterable[int]) -> SimplicialComplex:
-    ws = frozenset(w)
+    ws = _vertex_set(cpx.n, w)
     return SimplicialComplex(cpx.n, [f & ws for f in cpx.facets])
 
 
@@ -334,6 +342,7 @@ def reduced_homology_ranks(cpx: SimplicialComplex, p: int | None = None) -> dict
 
     The empty complex has a single unit in degree -1.
     """
+    require_field(p)
     return _reduced_homology(_levels(_face_masks(cpx)), p)
 
 
@@ -358,6 +367,7 @@ def graded_betti_hochster(cpx: SimplicialComplex, p: int | None = None) -> Betti
     the unions of minimal non-faces: the lcm lattice of I_Delta, with the
     empty set.
     """
+    require_field(p)
     _refuse_hochster_scan(cpx.n)
     levels = _levels(_face_masks(cpx))
     lattice = {0}
@@ -456,6 +466,7 @@ def local_cohomology_hochster(
 ) -> LocalCohomologyTable:
     """N_{i,c} = sum over faces F with |F| = c of dim H~_{i-c-1}(link F);
     faces whose link is a cone add nothing and are skipped."""
+    require_field(p)
     entries: dict[tuple[int, int], int] = {}
     for c, ranks in _link_homology(cpx, p):
         for h, r in ranks.items():
@@ -471,6 +482,7 @@ def local_cohomology_hochster(
 def is_cohen_macaulay(cpx: SimplicialComplex, p: int | None = None) -> bool:
     """Homological criterion: every face link has vanishing reduced homology
     below its dimension (a cone link has none at all and is skipped)."""
+    require_field(p)
     for _, ranks in _link_homology(cpx, p):
         top = max(ranks)  # the dimension of the link
         if any(r and h < top for h, r in ranks.items()):

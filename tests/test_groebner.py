@@ -26,6 +26,7 @@ from bwkit import (
     normal_form,
     parse_polynomial,
     reduced_groebner_basis,
+    scm_check,
 )
 from bwkit import groebner
 from corpus import borel_closure, random_homogeneous_polys, random_monomial_ideal
@@ -136,6 +137,8 @@ def test_gb_random_uniqueness_and_correctness():
         ring, gens = random_homogeneous_polys(rng, rng.randint(2, 4), rng.randint(1, 3))
         basis = reduced_groebner_basis(gens)
         assert _is_reduced_gb(basis, gens)
+        # initial_ideal reads the leads of an unreduced run
+        assert initial_ideal(gens) == basis.leading_ideal()
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert reduced_groebner_basis(shuffled).elements == basis.elements
@@ -370,6 +373,42 @@ def test_gin_of_a_monomial_ideal_builds_no_polynomial(monkeypatch):
     first = gin(worked_example_ideal(), seed=0)
     assert first.ideal == worked_example_gin()
     assert gin(worked_example_ideal(), seed=0) is first
+    assert list(groebner._GIN_MEMO) == [(0, worked_example_ideal())]
+
+
+def test_gin_of_a_polynomial_system_converts_it_once(monkeypatch):
+    """gin checks a polynomial system once, reads its target over Q off the
+    leads of one exact run with no autoreduction, and memoises nothing."""
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    calls = {"_check_inputs": 0, "_autoreduce": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(groebner, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(groebner, name, counted)
+    gens = [poly(R3, "x1^2 + x2*x3"), poly(R3, "x1*x2 - x3^2")]
+    result = gin(gens, seed=0)
+    assert calls == {"_check_inputs": 1, "_autoreduce": 0}
+    assert groebner._GIN_MEMO == {}
+    assert result.borel_certified
+    assert hilbert_numerator(result.ideal) == hilbert_numerator(initial_ideal(gens))
+
+
+def test_gin_checks_its_seed(monkeypatch):
+    """A seed that is not an int is refused, not memoised under the int it
+    equals: gin(I, seed=True) would make a later gin(I, seed=1) read
+    "seed": true, which GinResult.from_json rejects."""
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    ideal = worked_example_ideal()
+    for gens in (ideal, MonomialIdeal.zero(ideal.ring), [poly(R2, "x1 + x2")]):
+        for bad in (True, 1.5, "a"):
+            with pytest.raises(ValueError, match="seed"):
+                gin(gens, seed=bad)
+    with pytest.raises(ValueError, match="seed"):
+        scm_check(ideal, seed="a")
+    result = gin(ideal, seed=1)
+    assert GinResult.from_json(result.to_json()) == result
 
 
 def test_gin_result_from_json_rejects_non_integers():

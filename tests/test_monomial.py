@@ -107,6 +107,8 @@ def test_containment_checks_the_ring():
     for other in (ideal(R4, (1, 0, 0, 0)), MonomialIdeal.zero(R2)):
         with pytest.raises(ValueError, match="different rings"):
             x1.contains_ideal(other)
+    with pytest.raises(ValueError, match="different dimension"):
+        x1.colon(Monomial((1, 0, 0, 5)))
 
 
 def test_colon_and_saturation_goldens():

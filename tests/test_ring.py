@@ -83,6 +83,20 @@ def test_monomial_ops():
     assert str(mono(1, 2, 0)) == "x1*x2^2"
 
 
+def test_monomial_checks_exponents_and_lengths():
+    """A non-integer or negative exponent is refused where the monomial is
+    built, and monomials of different lengths where they are combined."""
+    for bad in ((1.5, 0), (True, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="integer"):
+            Monomial(bad)
+    with pytest.raises(ValueError, match="negative"):
+        mono(-1, 0)
+    a, b = mono(1, 2, 3), mono(1)
+    for op in (Monomial.__mul__, Monomial.divides, Monomial.quotient, Monomial.lcm, Monomial.gcd):
+        with pytest.raises(ValueError, match="different dimension"):
+            op(a, b)
+
+
 # -- polynomials ----------------------------------------------------------------
 
 

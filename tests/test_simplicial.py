@@ -308,6 +308,22 @@ def test_link_and_induced():
     assert induced_subcomplex(c, (3, 5, 6)) == cpx(6, (3, 5), (6,))
 
 
+def test_vertex_arguments_are_checked():
+    """A vertex outside 1..n, or one that is not an int, is refused: not
+    dropped from the set and not read as vertex 1."""
+    c = cpx(3, (1, 2), (2, 3))
+    calls = (
+        c.is_face,
+        lambda s: face_degree(c, s),
+        lambda s: link(c, s),
+        lambda s: induced_subcomplex(c, s),
+    )
+    for call in calls:
+        for bad in ((9,), (0,), (True,), (1.0,)):
+            with pytest.raises(ValueError, match="inside|integer"):
+                call(bad)
+
+
 # -- homology --------------------------------------------------------------------------
 
 
@@ -386,6 +402,20 @@ def test_homology_and_betti_depend_on_the_field():
     assert graded_betti_hochster(RP2).totals() == [1, 10, 15, 6]
     assert graded_betti_hochster(RP2, p=3).totals() == [1, 10, 15, 6]
     assert graded_betti_hochster(RP2, p=2).totals() == [1, 10, 15, 7, 1]
+
+
+@pytest.mark.parametrize(
+    "homology",
+    [reduced_homology_ranks, graded_betti_hochster, local_cohomology_hochster, is_cohen_macaulay],
+)
+def test_homology_rejects_what_names_no_prime_field(homology):
+    """Only None (Q) and primes below 2^31 name a field; 1 would give the
+    face counts and 4 an error from deep inside the elimination."""
+    for p in (0, 1, 4, True, 2**32 - 1):
+        with pytest.raises(ValueError, match="prime|integer|too large"):
+            homology(RP2, p)
+    # H~_1(RP2) is Z/2, so every odd characteristic agrees with Q
+    assert homology(RP2, 2**31 - 1) == homology(RP2)
 
 
 def test_hochster_routes_match_dense_scans():
