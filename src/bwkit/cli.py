@@ -175,19 +175,13 @@ def _cmd_gin(loaded, args):
 
 
 def _cmd_filtration(loaded, args):
-    ideal = _require_monomial(loaded, "filtration")
-    if ideal.is_unit:
-        raise InputError("filtration wants a proper ideal")
-    chain = dimension_filtration(ideal)
+    chain = dimension_filtration(_require_monomial(loaded, "filtration"))
     text = "\n".join(f"I<{i}> = {q}" for i, q in enumerate(chain.ideals))
     return chain.to_json(), text
 
 
 def _cmd_scm(loaded, args):
-    ideal = _require_monomial(loaded, "scm")
-    if ideal.is_unit:
-        raise InputError("scm wants a proper ideal")
-    report = scm_check(ideal, seed=args.seed)
+    report = scm_check(_require_monomial(loaded, "scm"), seed=args.seed)
     lines = [f"scm: {str(report.scm).lower()}"]
     if report.witness is not None:
         i, a, b = report.witness
@@ -199,14 +193,12 @@ def _cmd_scm(loaded, args):
 
 
 def _cmd_local_cohomology(loaded, args):
+    field = _parse_field(args.field)
     if isinstance(loaded, SimplicialComplex):
-        table = local_cohomology_hochster(loaded, _parse_field(args.field))
+        table = local_cohomology_hochster(loaded, field)
         route = "hochster"
     else:
-        ideal = _require_monomial(loaded, "local-cohomology")
-        if ideal.is_unit:
-            raise InputError("local-cohomology wants a proper ideal")
-        table = local_cohomology_scm(ideal, seed=args.seed)
+        table = local_cohomology_scm(_require_monomial(loaded, "local-cohomology"), seed=args.seed)
         route = "filtration"
     return {**table.to_json(), "route": route}, str(table)
 
@@ -226,8 +218,9 @@ def _cmd_shift(loaded, args):
 
 
 def _cmd_betti(loaded, args):
+    field = _parse_field(args.field)
     if isinstance(loaded, SimplicialComplex):
-        table = graded_betti_hochster(loaded, _parse_field(args.field))
+        table = graded_betti_hochster(loaded, field)
         route = "hochster"
     else:
         ideal = _require_monomial(loaded, "betti")
@@ -236,7 +229,7 @@ def _cmd_betti(loaded, args):
             route = "eliahou-kervaire"
         elif ideal.is_squarefree():
             _refuse_hochster_scan(ideal.ring.n)
-            table = graded_betti_hochster(complex_of_ideal(ideal), _parse_field(args.field))
+            table = graded_betti_hochster(complex_of_ideal(ideal), field)
             route = "hochster"
         else:
             raise InputError("betti wants a strongly stable ideal, a squarefree ideal, or a complex")

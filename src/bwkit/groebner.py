@@ -24,16 +24,16 @@ gin(I) draws a dense square integer matrix with entries uniform in [-B, B]
 (B = 10^4 to start) from a seeded RNG, moves the generators, reduces them mod
 p and runs Buchberger over F_p.  Trial k uses the k-th of ten fixed primes
 below 2^31 (2^31-1, 2^31-19, ...), so the matrix stream depends on the seed
-alone.  Each trial stops at the first lcm-degree transition where its leads
-reach the Hilbert series of I (of in(I) over Q for polynomial input), and
-skips a degree's pairs once the leads' Hilbert function matches in that
-degree.  Both are exact: the leads lie in the initial ideal of the moved
-ideal mod p, whose Hilbert function is at least the target's in every
-degree.  A round certifies when its two trials agree, the result is
-strongly stable and its Hilbert series equals the target; a matrix singular
-mod its prime (as is any matrix singular over Q) fails the round.  Otherwise
-B doubles, up to five rounds, after which NotCertified is raised.  Same seed,
-same answer, always.
+alone.  The loop yields its basis at each lcm-degree transition and skips
+no pairs; the trial, not the loop, stops at the first yield whose leads
+reach the Hilbert series of I (of in(I) over Q for polynomial input).  This
+is exact: the leads lie in the initial ideal of the moved ideal mod p, whose
+Hilbert function is at least the target's in every degree.  A trial fails
+when even its finished basis misses the target, or when its matrix is
+singular mod its prime (as is any matrix singular over Q).  A round
+certifies when both trials succeed, agree and give a strongly stable ideal;
+otherwise B doubles, up to five rounds, after which NotCertified is raised.
+Same seed, same answer, always.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .monomial import MonomialIdeal, hilbert_numerator, is_strongly_stable
 from .ring import (
@@ -203,20 +203,14 @@ def _spair(f: _Basis, g: _Basis, packing: _Packing) -> IntPoly:
 
 
 def _buchberger(
-    inputs: list[IntPoly],
-    prime: int | None,
-    packing: _Packing,
-    target: HilbertSeries | None = None,
-) -> list[_Basis]:
+    inputs: list[IntPoly], prime: int | None, packing: _Packing
+) -> Iterator[list[_Basis]]:
     """Buchberger with the coprime-lead and chain criteria, pairs processed in
     ascending lcm-degree order, over Q (prime None) or F_prime.
 
-    Homogeneous inputs must fit the packing; a pair whose lcm degree does not
-    raises _Overflow.  With the target Hilbert series of the ideal, the loop
-    checks the leads at each lcm-degree transition: it stops once their
-    series equals the target, and skips the degree's pairs when the Hilbert
-    functions agree in it.  The leads then generate the initial ideal only if
-    the target is right."""
+    Yields the basis at each lcm-degree transition, before the pairs of the
+    new degree, and the finished Groebner basis last.  Homogeneous inputs
+    must fit the packing; a pair whose lcm degree does not raises _Overflow."""
     guard = packing.guard
     G: list[_Basis] = []
     pending: set[tuple[int, int]] = set()
@@ -243,20 +237,15 @@ def _buchberger(
         if r:
             add(r)
 
-    degree, prune = -1, False
+    degree = -1
     while heap:
         lcm_deg, i, j = heapq.heappop(heap)
         pending.discard((i, j))
-        if target is not None and lcm_deg != degree:
+        if lcm_deg != degree:
             # new pairs have a larger lcm degree than the pair that made
             # them, so the degrees popped only grow
             degree = lcm_deg
-            series = hilbert_numerator(_leads(G, packing))
-            if series == target:
-                break
-            prune = series.expand(degree)[degree] == target.expand(degree)[degree]
-        if prune:
-            continue
+            yield G
         fi, fj = G[i], G[j]
         # coprime leads: S-pair reduces to zero
         if lcm_deg == fi.deg + fj.deg:
@@ -278,7 +267,7 @@ def _buchberger(
         r = _reduce(_spair(fi, fj, packing), G, guard, prime)
         if r:
             add(r)
-    return G
+    yield G
 
 
 def _autoreduce(G: list[_Basis], packing: _Packing) -> list[IntPoly]:
@@ -373,7 +362,7 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
         return GroebnerBasis(ring, ())
 
     def run(packing: _Packing, packed: list[IntPoly]) -> list[Polynomial]:
-        raw = _buchberger(packed, None, packing)
+        *_, raw = _buchberger(packed, None, packing)
         return [_to_polynomial(ring, p, packing) for p in _autoreduce(raw, packing)]
 
     elements = _packed_run([_to_int_poly(f) for f in polys], ring.n, run)
@@ -384,9 +373,12 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
 def _exact_leads(int_gens: list[MonoPoly], n: int) -> MonomialIdeal:
     """in(I) over Q for nonzero primitive integer generators: the leads of
     one exact Buchberger run, which generate it without autoreduction."""
-    return _packed_run(
-        int_gens, n, lambda packing, packed: _leads(_buchberger(packed, None, packing), packing)
-    )
+
+    def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal:
+        *_, G = _buchberger(packed, None, packing)
+        return _leads(G, packing)
+
+    return _packed_run(int_gens, n, run)
 
 
 def initial_ideal(gens: Sequence[Polynomial]) -> MonomialIdeal:
@@ -484,19 +476,27 @@ def _gin_trial(
     target: HilbertSeries | None,
 ) -> MonomialIdeal | None:
     """Leading ideal over F_prime of the generators moved by the matrix, or
-    None when the matrix is singular mod prime.  A target Hilbert series
-    lets Buchberger stop early; None runs it to the end."""
+    None when the matrix is singular mod prime.  With a target Hilbert
+    series: the leads of the first basis Buchberger yields that reach it, or
+    None if none does.  With None: the leads of the finished basis."""
     n = len(matrix)
     if _sparse_rank([dict(enumerate(r)) for r in matrix], prime) != n:
         return None
 
-    def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal:
+    def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal | None:
         moved = []
         for p in _substitute(packed, matrix, packing):
             q = {m: c % prime for m, c in p.items() if c % prime}
             if q:
                 moved.append(q)
-        return _leads(_buchberger(moved, prime, packing, target), packing)
+        if target is None:
+            *_, G = _buchberger(moved, prime, packing)
+            return _leads(G, packing)
+        for G in _buchberger(moved, prime, packing):
+            leads = _leads(G, packing)
+            if hilbert_numerator(leads) == target:
+                return leads
+        return None
 
     return _packed_run(int_gens, n, run)
 
@@ -539,11 +539,8 @@ def gin(
         first = _gin_trial(int_gens, matrices[0], _PRIMES[2 * r], target)
         if first is not None:
             second = _gin_trial(int_gens, matrices[1], _PRIMES[2 * r + 1], target)
-            if (
-                first == second
-                and is_strongly_stable(first)
-                and hilbert_numerator(first) == target
-            ):
+            # each trial has reached the target: its stop is the Hilbert check
+            if first == second and is_strongly_stable(first):
                 result = GinResult(first, seed, 2 * (r + 1), True)
                 if isinstance(gens, MonomialIdeal):
                     _GIN_MEMO[(seed, gens)] = result

@@ -112,6 +112,8 @@ class Monomial:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents: tuple[int, ...]):
+        if type(exponents) is not tuple:
+            raise ValueError(f"exponents must be a tuple of integers, got {exponents!r}")
         for e in exponents:
             # a bare type test: this runs on every monomial built
             if type(e) is not int:
@@ -727,10 +729,6 @@ class UniPoly:
         """Divide by (1-t)^k; raises if the division is not exact."""
         cur = self
         for _ in range(k):
-            if cur.is_zero:
-                continue
-            if cur.evaluate(1) != 0:
-                raise ValueError("division by (1-t) is not exact")
             cur = _divide_one_minus_t(cur)
         return cur
 
@@ -760,7 +758,7 @@ class UniPoly:
 
 
 def _divide_one_minus_t(p: UniPoly) -> UniPoly:
-    """Exact quotient p / (1-t); caller has checked p(1) == 0."""
+    """Exact quotient p / (1-t); raises ValueError when p(1) != 0."""
     c = list(p.coeffs)
     if not c:
         return p
@@ -821,11 +819,13 @@ class HilbertSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        ka, kb = self.denom_power, other.denom_power
-        k = max(ka, kb)
-        left = self.numerator * UniPoly.one_minus_t_power(k - ka)
-        right = other.numerator * UniPoly.one_minus_t_power(k - kb)
-        return left == right
+        k = other.denom_power - self.denom_power
+        if k < 0:
+            return other == self
+        if not k:
+            return self.numerator == other.numerator
+        # only the numerator over the smaller power is multiplied
+        return self.numerator * UniPoly.one_minus_t_power(k) == other.numerator
 
     def __hash__(self) -> int:
         c = self.canonical()

@@ -501,6 +501,7 @@ def pure_skeleton(cpx: SimplicialComplex, i: int) -> SimplicialComplex:
 def scm_oracle(cpx: SimplicialComplex, p: int | None = None) -> bool:
     """Sequential Cohen-Macaulayness by the skeleton criterion: every pure
     i-skeleton is Cohen-Macaulay."""
+    require_field(p)
     return all(
         is_cohen_macaulay(pure_skeleton(cpx, i), p) for i in range(cpx.dim + 1)
     )
@@ -564,6 +565,7 @@ class HrwResult:
 
 
 def hrw_check(cpx: SimplicialComplex, p: int | None = None) -> HrwResult:
+    require_field(p)
     ht = h_triangle(cpx)
     if not minimal_nonfaces(cpx):
         # full simplex: the dual is void, both sides are read as zero rows

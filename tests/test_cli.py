@@ -252,7 +252,7 @@ def test_h_triangle_refuses_a_large_simplex(capsys, tmp_path):
     assert "faces refused" in capsys.readouterr().err
 
 
-def test_field_option(capsys, complex_path, ideal_path):
+def test_field_option(capsys, complex_path, ideal_path, tmp_path):
     data = run_json(capsys, ["betti", "--input", complex_path, "--field", "p:7"])
     assert BettiTable.from_json(data).totals() == [1, 7, 11, 6, 1]
     assert main(["betti", "--input", complex_path, "--field", "p:6"]) == 2
@@ -263,12 +263,31 @@ def test_field_option(capsys, complex_path, ideal_path):
     big = ["local-cohomology", "--input", complex_path, "--field", "p:1000000000000000003"]
     assert main(big) == 2
     assert "2^31" in capsys.readouterr().err
+    # --field is parsed before a route is chosen, so the Eliahou-Kervaire and
+    # filtration routes, which compute no homology, refuse it too
+    stable = tmp_path / "stable.json"
+    stable.write_text(json.dumps({"vars": 3, "gens": [[1, 0, 0], [0, 1, 0]]}))
+    for verb, field in (("betti", "p:4"), ("local-cohomology", "zz")):
+        assert main([verb, "--input", str(stable), "--field", field]) == 2
+        assert capsys.readouterr().err.startswith("error:")
     # verbs that compute no homology do not take --field at all
     for verb in ("hilbert", "scm", "gin", "bw", "filtration"):
         with pytest.raises(SystemExit) as exc:
             main([verb, "--input", ideal_path, "--field", "nonsense"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_unit_ideal_exits_2_with_the_library_message(capsys, tmp_path):
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"vars": 2, "gens": [[0, 0]]}))
+    for verb, what in (
+        ("filtration", "dimension filtration"),
+        ("scm", "scm check"),
+        ("local-cohomology", "local cohomology"),
+    ):
+        assert main([verb, "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {what} wants a proper ideal\n")
 
 
 @pytest.mark.parametrize(

@@ -334,6 +334,17 @@ def test_scm_check_numerates_each_ideal_once(monkeypatch):
     assert [sum(q is p for q in numerated) for p in distinct] == [1, 1]
 
 
+def test_gin_result_carries_the_numerator_its_trials_stopped_on(monkeypatch):
+    """Each trial's Hilbert stop numerates the gin once; the certificate and
+    the layer decomposition of the result read the numerator kept on it."""
+    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    computed = _record_computations(monkeypatch)
+    g = gin(worked_example_ideal(), seed=0)
+    assert g.trials == 2
+    layer_decomposition(g.ideal, route="borel")
+    assert Counter(computed)[_gens_key(g.ideal)] == 2
+
+
 # -- local cohomology through the filtration ----------------------------------------
 
 

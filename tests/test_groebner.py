@@ -323,6 +323,19 @@ def test_modular_trial_singular_mod_p():
     assert groebner._gin_trial(gens, [[1, 0], [0, p + 1]], p, None) is not None
 
 
+def test_modular_trial_that_misses_its_target_fails():
+    """A trial whose bases never reach the target Hilbert series fails like
+    a singular matrix, though its finished basis has leads."""
+    ideal = worked_example_ideal()
+    int_gens = [{g: 1} for g in ideal.sorted_gens()]
+    matrix = groebner._draw_matrix(random.Random(0), ideal.ring.n, 10**4)
+    prime = groebner._PRIMES[0]
+    assert groebner._gin_trial(int_gens, matrix, prime, None) == worked_example_gin()
+    # K(0) = 1 for every monomial ideal
+    unreachable = HilbertSeries(UniPoly([2]), ideal.ring.n)
+    assert groebner._gin_trial(int_gens, matrix, prime, unreachable) is None
+
+
 @pytest.mark.parametrize("wrong", ["impossible", "too small"])
 def test_gin_wrong_hilbert_target_does_not_certify(monkeypatch, wrong):
     ideal = worked_example_ideal()

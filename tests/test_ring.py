@@ -86,7 +86,7 @@ def test_monomial_ops():
 def test_monomial_checks_exponents_and_lengths():
     """A non-integer or negative exponent is refused where the monomial is
     built, and monomials of different lengths where they are combined."""
-    for bad in ((1.5, 0), (True, 0), ("1", 0)):
+    for bad in ((1.5, 0), (True, 0), ("1", 0), [1, 0]):
         with pytest.raises(ValueError, match="integer"):
             Monomial(bad)
     with pytest.raises(ValueError, match="negative"):
@@ -296,7 +296,8 @@ def test_taylor_at_one_agrees_pointwise(coeffs, x):
 def test_hilbert_series_equality_is_cross_multiplied():
     a = HilbertSeries(UniPoly((1, 1)), 1)
     b = HilbertSeries(UniPoly((1, 1)) * UniPoly.one_minus_t_power(1), 2)
-    assert a == b
+    assert a == b and b == a
+    assert a != HilbertSeries(UniPoly((1, 1)), 2) and HilbertSeries(UniPoly((1, 1)), 2) != a
     assert a.canonical() == a
     assert b.canonical().denom_power == 1
 

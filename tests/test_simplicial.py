@@ -418,6 +418,14 @@ def test_homology_rejects_what_names_no_prime_field(homology):
     assert homology(RP2, 2**31 - 1) == homology(RP2)
 
 
+def test_oracles_check_their_field_first():
+    """The skeleton and dual-Betti oracles refuse a p that names no field
+    even on a complex where they compute no homology."""
+    for oracle, c in ((hrw_check, cpx(3, (1, 2, 3))), (scm_oracle, cpx(3, ()))):
+        with pytest.raises(ValueError, match="not prime"):
+            oracle(c, 4)
+
+
 def test_hochster_routes_match_dense_scans():
     """The bitmask faces, kernel and cone skips against frozenset faces and
     dense ranks over every subset and every face link, over Q, F_2 and F_3."""
