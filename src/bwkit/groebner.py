@@ -20,20 +20,21 @@ leading terms of one exact run, with no autoreduction.  Over F_p the basis
 elements are monic with coefficients reduced mod a word-size prime p, and
 the gin trials read off their leading monomials only.
 
-gin(I) draws a dense square integer matrix with entries uniform in [-B, B]
-(B = 10^4 to start) from a seeded RNG, moves the generators, reduces them mod
-p and runs Buchberger over F_p.  Trial k uses the k-th of ten fixed primes
-below 2^31 (2^31-1, 2^31-19, ...), so the matrix stream depends on the seed
-alone.  The loop yields its basis at each lcm-degree transition and skips
-no pairs; the trial, not the loop, stops at the first yield whose leads
-reach the Hilbert series of I (of in(I) over Q for polynomial input).  This
-is exact: the leads lie in the initial ideal of the moved ideal mod p, whose
-Hilbert function is at least the target's in every degree.  A trial fails
-when even its finished basis misses the target, or when its matrix is
-singular mod its prime (as is any matrix singular over Q).  A round
-certifies when both trials succeed, agree and give a strongly stable ideal;
-otherwise B doubles, up to five rounds, after which NotCertified is raised.
-Same seed, same answer, always.
+gin(I) moves the generators by a seeded random unit lower-triangular matrix L,
+x_i -> x_i + sum_{j<i} a_ij x_j with a_ij uniform in [-B, B] (B = 10^4 to
+start), reduces them mod p and runs Buchberger over F_p.  L suffices: a generic
+change of coordinates is L followed by an upper-triangular one, which keeps
+every leading term; and L is invertible over every field.  Trial k uses the
+k-th of ten fixed primes below 2^31 (2^31-1, 2^31-19, ...), so the matrix
+stream depends on the seed alone.  The loop yields its basis at each lcm-degree
+transition and skips no pairs; the trial, not the loop, stops at the first
+yield whose leads reach the Hilbert series of I (of in(I) over Q for polynomial
+input).  This is exact: the leads lie in the initial ideal of the moved ideal
+mod p, whose Hilbert function is at least the target's in every degree.  A
+trial fails when even its finished basis misses the target.  A round certifies
+when both trials succeed, agree and give a strongly stable ideal; otherwise B
+doubles, up to five rounds, after which NotCertified is raised.  Same seed,
+same answer, always.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .ring import (
     Polynomial,
     RingSpec,
     _Packing,
-    _sparse_rank,
     _substitute,
     require_int,
 )
@@ -442,18 +442,17 @@ class GinResult:
         )
 
 
-# gin of a monomial ideal, by (seed, ideal): the filtration levels of one
-# scm_check recur across its calls; polynomial systems are not memoised
-_GIN_MEMO: dict[tuple[int, MonomialIdeal], GinResult] = {}
-
 # trial k of a gin call runs mod _PRIMES[k]: the ten largest primes below 2^31
 _PRIMES = tuple(2**31 - d for d in (1, 19, 61, 69, 85, 99, 105, 151, 159, 171))
 
 
 def _draw_matrix(rng: random.Random, n: int, bound: int) -> list[list[int]]:
-    """Entries uniform in [-bound, bound].  A singular draw is left to
-    _gin_trial, which refuses it mod every prime."""
-    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    """Unit lower-triangular: row i sends x_i to x_i plus the earlier
+    variables with coefficients uniform in [-bound, bound], drawn row by row."""
+    return [
+        [rng.randint(-bound, bound) for _ in range(i)] + [1] + [0] * (n - i - 1)
+        for i in range(n)
+    ]
 
 
 def _leads(G: Sequence[_Basis], packing: _Packing) -> MonomialIdeal:
@@ -475,13 +474,10 @@ def _gin_trial(
     prime: int,
     target: HilbertSeries | None,
 ) -> MonomialIdeal | None:
-    """Leading ideal over F_prime of the generators moved by the matrix, or
-    None when the matrix is singular mod prime.  With a target Hilbert
-    series: the leads of the first basis Buchberger yields that reach it, or
-    None if none does.  With None: the leads of the finished basis."""
-    n = len(matrix)
-    if _sparse_rank([dict(enumerate(r)) for r in matrix], prime) != n:
-        return None
+    """Leading ideal over F_prime of the generators moved by the matrix,
+    which must be invertible mod prime.  With a target Hilbert series: the
+    leads of the first basis Buchberger yields that reach it, or None if
+    none does.  With None: the leads of the finished basis."""
 
     def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal | None:
         moved = []
@@ -498,7 +494,7 @@ def _gin_trial(
                 return leads
         return None
 
-    return _packed_run(int_gens, n, run)
+    return _packed_run(int_gens, len(matrix), run)
 
 
 def gin(
@@ -516,9 +512,6 @@ def gin(
     if isinstance(gens, MonomialIdeal):
         if gens.is_zero:
             return GinResult(gens, seed, 0, True)
-        hit = _GIN_MEMO.get((seed, gens))
-        if hit is not None:
-            return hit
         n = gens.ring.n
         # a monomial generator is already a primitive integer polynomial
         int_gens = [{g: 1} for g in gens.sorted_gens()]
@@ -541,10 +534,7 @@ def gin(
             second = _gin_trial(int_gens, matrices[1], _PRIMES[2 * r + 1], target)
             # each trial has reached the target: its stop is the Hilbert check
             if first == second and is_strongly_stable(first):
-                result = GinResult(first, seed, 2 * (r + 1), True)
-                if isinstance(gens, MonomialIdeal):
-                    _GIN_MEMO[(seed, gens)] = result
-                return result
+                return GinResult(first, seed, 2 * (r + 1), True)
         bound *= 2
     raise NotCertified(
         f"gin trials disagreed, were unstable or missed the Hilbert series "

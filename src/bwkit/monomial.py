@@ -463,6 +463,10 @@ class BettiTable(_SparseTable):
     __slots__ = ()
     _WHAT = ("homological degree", "internal degree", "Betti number")
 
+    def _check_index(self, i: int, j: int) -> None:
+        if i < 0 or j < 0:
+            raise ValueError("homological and internal degrees must be non-negative")
+
     beta = _SparseTable.value
 
     def projective_dimension(self) -> int:

@@ -642,10 +642,10 @@ class UniPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         c = list(coeffs)
+        if any(type(x) is not int for x in c):
+            raise ValueError(f"UniPoly wants integer coefficients, got {c!r}")
         while c and c[-1] == 0:
             c.pop()
-        if any(not isinstance(x, int) for x in c):
-            raise TypeError("UniPoly wants integer coefficients")
         object.__setattr__(self, "coeffs", tuple(c))
 
     def __setattr__(self, *_):

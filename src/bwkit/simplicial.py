@@ -397,12 +397,16 @@ class LocalCohomologyTable(_SparseTable):
 
     Entries come from Hochster's face formula (then 0 <= c <= i <= d) or from
     re-expanding layer h-polynomials (where c < 0 can occur for non-squarefree
-    inputs: the polynomial part of the series).
+    inputs: the polynomial part of the series); either way 0 <= i and c <= i.
     """
 
     __slots__ = ()
     _KEYS = ("i", "c", "value")
     _WHAT = ("cohomological degree", "face size", "entry")
+
+    def _check_index(self, i: int, c: int) -> None:
+        if i < 0 or c > i:
+            raise ValueError(f"local cohomology index ({i},{c}) outside 0<=i, c<=i")
 
     def cohomological_degrees(self) -> list[int]:
         return sorted({i for i, _ in self.entries})

@@ -355,10 +355,35 @@ def test_output_parsers_reject_non_integers(cls, payload):
         lambda: LocalCohomologyTable({(0, True): 0}),
         lambda: HilbertSeries(UniPoly([1]), 1.5),
         lambda: HilbertSeries(UniPoly([1]), True),
+        lambda: UniPoly([True, 2]),
+        lambda: UniPoly([1.5]),
+        # a trailing zero is dropped only after it is checked
+        lambda: UniPoly([1, 0.0]),
     ],
 )
 def test_library_constructors_reject_non_integers(build):
     with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a negative index next to beta_{0,0} = 1 would add to totals()[0]
+        lambda: BettiTable.from_json(
+            {"entries": [{"i": -1, "j": 3, "value": 5}, {"i": 0, "j": 0, "value": 1}]}
+        ),
+        lambda: BettiTable({(0, -1): 1}),
+        # a zero entry is dropped only after its index is checked
+        lambda: BettiTable({(-1, 0): 0}),
+        lambda: LocalCohomologyTable({(-2, 0): 1}),
+        lambda: LocalCohomologyTable({(-1, -2): 1}),
+        lambda: LocalCohomologyTable({(1, 3): 1}),
+        lambda: LocalCohomologyTable.from_json({"entries": [{"i": 0, "c": 1, "value": 1}]}),
+    ],
+)
+def test_tables_reject_indices_out_of_range(build):
+    with pytest.raises(ValueError, match="outside|non-negative"):
         build()
 
 

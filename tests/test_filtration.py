@@ -305,7 +305,6 @@ def test_scm_check_numerates_each_ideal_once(monkeypatch):
     """One scm_check numerates its input and each distinct proper level of
     the input's chain once, though the layer decomposition, gin's target and
     the battery all read them."""
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
     i = repeating_chain_ideal()
     computed = _record_computations(monkeypatch)
     numerated, chains = [], []  # the ideal behind each computation, by identity
@@ -337,7 +336,6 @@ def test_scm_check_numerates_each_ideal_once(monkeypatch):
 def test_gin_result_carries_the_numerator_its_trials_stopped_on(monkeypatch):
     """Each trial's Hilbert stop numerates the gin once; the certificate and
     the layer decomposition of the result read the numerator kept on it."""
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
     computed = _record_computations(monkeypatch)
     g = gin(worked_example_ideal(), seed=0)
     assert g.trials == 2

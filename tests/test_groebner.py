@@ -17,6 +17,7 @@ from bwkit import (
     NotCertified,
     Polynomial,
     RingSpec,
+    SimplicialComplex,
     UniPoly,
     apply_linear_change,
     gin,
@@ -27,8 +28,10 @@ from bwkit import (
     parse_polynomial,
     reduced_groebner_basis,
     scm_check,
+    stanley_reisner_ideal,
 )
 from bwkit import groebner
+from bwkit.ring import _sparse_rank
 from corpus import borel_closure, random_homogeneous_polys, random_monomial_ideal
 from oracles import poly_quotient_dims, standard_monomial_counts
 
@@ -316,16 +319,57 @@ def test_modular_trial_matches_exact_route():
         assert groebner._gin_trial(int_gens, matrix, prime, None) == exact
 
 
-def test_modular_trial_singular_mod_p():
-    p = groebner._PRIMES[0]
-    gens = [groebner._to_int_poly(parse_polynomial(R2, "x1*x2"))]
-    assert groebner._gin_trial(gens, [[1, 0], [0, p]], p, None) is None
-    assert groebner._gin_trial(gens, [[1, 0], [0, p + 1]], p, None) is not None
+def _dense_matrix(rng, n, bound):
+    """A dense square change of coordinates, entries uniform in [-bound, bound]."""
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+
+def _stanley_reisner_inputs():
+    """Stanley-Reisner ideals of six seeded complexes on 8-10 vertices."""
+    rng = random.Random(2718)
+    for n in (8, 9, 10, 8, 9, 10):
+        faces = [
+            rng.sample(range(1, n + 1), rng.randint(3, n - 3))
+            for _ in range(rng.randint(3, 6))
+        ]
+        ideal = stanley_reisner_ideal(SimplicialComplex(n, faces))
+        yield ideal.ring, [Polynomial.from_monomial(ideal.ring, g) for g in ideal.sorted_gens()]
+
+
+def test_triangular_and_dense_trials_agree():
+    """A trial in unit lower-triangular coordinates gives the same leads as
+    one in dense coordinates, invertible mod the trial's prime."""
+    inputs = [(ring, gens) for _, ring, gens in _trial_inputs()]
+    for k, (ring, gens) in enumerate(inputs + list(_stanley_reisner_inputs())):
+        n = ring.n
+        prime = groebner._PRIMES[k % 10]
+        dense = _dense_matrix(random.Random(k), n, 10**4)
+        assert _sparse_rank([dict(enumerate(r)) for r in dense], prime) == n
+        triangular = groebner._draw_matrix(random.Random(k), n, 10**4)
+        int_gens = [groebner._to_int_poly(f) for f in gens]
+        target = hilbert_numerator(initial_ideal(gens))
+        leads = groebner._gin_trial(int_gens, dense, prime, target)
+        assert leads is not None
+        assert groebner._gin_trial(int_gens, triangular, prime, target) == leads
+
+
+def test_draw_matrix_is_unit_lower_triangular():
+    """Ones on the diagonal, zeros above it, and below it the RNG's draws in
+    row order."""
+    for n in range(1, 8):
+        for bound in (1, 7, 10**4):
+            matrix = groebner._draw_matrix(random.Random(n * bound), n, bound)
+            rng = random.Random(n * bound)
+            assert len(matrix) == n
+            for i, row in enumerate(matrix):
+                assert len(row) == n
+                assert row[i] == 1 and row[i + 1:] == [0] * (n - i - 1)
+                assert row[:i] == [rng.randint(-bound, bound) for _ in range(i)]
 
 
 def test_modular_trial_that_misses_its_target_fails():
-    """A trial whose bases never reach the target Hilbert series fails like
-    a singular matrix, though its finished basis has leads."""
+    """A trial whose bases never reach the target Hilbert series fails,
+    though its finished basis has leads."""
     ideal = worked_example_ideal()
     int_gens = [{g: 1} for g in ideal.sorted_gens()]
     matrix = groebner._draw_matrix(random.Random(0), ideal.ring.n, 10**4)
@@ -347,7 +391,6 @@ def test_gin_wrong_hilbert_target_does_not_certify(monkeypatch, wrong):
         extra = Monomial((0, 0, 0, 3, 0, 0))
         bigger = MonomialIdeal(ideal.ring, list(worked_example_gin().gens) + [extra])
         target = hilbert_numerator(bigger)
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
     monkeypatch.setattr(groebner, "_gin_target", lambda *args: target)
     with pytest.raises(NotCertified):
         gin(ideal, seed=0)
@@ -356,7 +399,6 @@ def test_gin_wrong_hilbert_target_does_not_certify(monkeypatch, wrong):
 def test_gin_records_the_rounds_run(monkeypatch):
     """A first round whose trials disagree costs two more trials."""
     expected = gin(worked_example_ideal(), seed=0).ideal
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
     real = groebner._gin_trial
     calls = []
 
@@ -375,24 +417,18 @@ def test_gin_records_the_rounds_run(monkeypatch):
 
 
 def test_gin_of_a_monomial_ideal_builds_no_polynomial(monkeypatch):
-    """A monomial ideal goes to the trials and to the memo as it is; a second
-    gin of an equal ideal is the memoised result."""
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
-
+    """A monomial ideal goes to the trials as it is."""
     def refuse(*args):
         raise AssertionError("gin built a polynomial from a monomial ideal")
 
     monkeypatch.setattr(groebner.Polynomial, "from_monomial", refuse)
     first = gin(worked_example_ideal(), seed=0)
     assert first.ideal == worked_example_gin()
-    assert gin(worked_example_ideal(), seed=0) is first
-    assert list(groebner._GIN_MEMO) == [(0, worked_example_ideal())]
 
 
 def test_gin_of_a_polynomial_system_converts_it_once(monkeypatch):
     """gin checks a polynomial system once, reads its target over Q off the
-    leads of one exact run with no autoreduction, and memoises nothing."""
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+    leads of one exact run with no autoreduction."""
     calls = {"_check_inputs": 0, "_autoreduce": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(groebner, name)):
@@ -403,16 +439,14 @@ def test_gin_of_a_polynomial_system_converts_it_once(monkeypatch):
     gens = [poly(R3, "x1^2 + x2*x3"), poly(R3, "x1*x2 - x3^2")]
     result = gin(gens, seed=0)
     assert calls == {"_check_inputs": 1, "_autoreduce": 0}
-    assert groebner._GIN_MEMO == {}
     assert result.borel_certified
     assert hilbert_numerator(result.ideal) == hilbert_numerator(initial_ideal(gens))
 
 
-def test_gin_checks_its_seed(monkeypatch):
-    """A seed that is not an int is refused, not memoised under the int it
-    equals: gin(I, seed=True) would make a later gin(I, seed=1) read
-    "seed": true, which GinResult.from_json rejects."""
-    monkeypatch.setattr(groebner, "_GIN_MEMO", {})
+def test_gin_checks_its_seed():
+    """A seed that is not an int is refused, not taken as the int it equals:
+    gin(I, seed=True) would read "seed": true, which GinResult.from_json
+    rejects."""
     ideal = worked_example_ideal()
     for gens in (ideal, MonomialIdeal.zero(ideal.ring), [poly(R2, "x1 + x2")]):
         for bad in (True, 1.5, "a"):
