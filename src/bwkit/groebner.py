@@ -27,13 +27,13 @@ change of coordinates is L followed by an upper-triangular one, which keeps
 every leading term; and L is invertible over every field.  Trial k uses the
 k-th of ten fixed primes below 2^31 (2^31-1, 2^31-19, ...), so the matrix
 stream depends on the seed alone.  The loop yields its basis at each lcm-degree
-transition and skips no pairs; the trial, not the loop, stops at the first
-yield whose leads reach the Hilbert series of I (of in(I) over Q for polynomial
-input).  This is exact: the leads lie in the initial ideal of the moved ideal
-mod p, whose Hilbert function is at least the target's in every degree.  A
-trial fails when even its finished basis misses the target.  A round certifies
-when both trials succeed, agree and give a strongly stable ideal; otherwise B
-doubles, up to five rounds, after which NotCertified is raised.  Same seed,
+transition and skips no pairs; the trials own the stops.  The first stops when
+its leads J reach the Hilbert series of I (of in(I) over Q for polynomial
+input), which is exact: they lie in the initial ideal of the moved ideal mod p,
+whose Hilbert function is at least the target's in every degree.  J must be
+strongly stable, and the second trial must meet J before its leads leave it:
+yields only grow, so it meets J exactly when a Hilbert stop would.  Otherwise
+B doubles, up to five rounds, after which NotCertified is raised.  Same seed,
 same answer, always.
 """
 
@@ -65,7 +65,6 @@ __all__ = [
     "reduced_groebner_basis",
     "initial_ideal",
     "gin",
-    "is_strongly_stable",
 ]
 
 # integer polynomials: on packed keys inside the engines, on monomials at
@@ -460,8 +459,8 @@ def _leads(G: Sequence[_Basis], packing: _Packing) -> MonomialIdeal:
 
 
 def _gin_target(gens: MonomialIdeal | list[MonoPoly], n: int) -> HilbertSeries:
-    """Hilbert series every trial must reach: that of the input itself for a
-    monomial ideal, that of its initial ideal over Q for the primitive
+    """Hilbert series a round's first trial must reach: that of the input for
+    a monomial ideal, that of its initial ideal over Q for the primitive
     integer generators of a polynomial system."""
     return hilbert_numerator(
         gens if isinstance(gens, MonomialIdeal) else _exact_leads(gens, n)
@@ -472,12 +471,11 @@ def _gin_trial(
     int_gens: list[MonoPoly],
     matrix: list[list[int]],
     prime: int,
-    target: HilbertSeries | None,
+    stop: Callable[[MonomialIdeal], bool],
 ) -> MonomialIdeal | None:
     """Leading ideal over F_prime of the generators moved by the matrix,
-    which must be invertible mod prime.  With a target Hilbert series: the
-    leads of the first basis Buchberger yields that reach it, or None if
-    none does.  With None: the leads of the finished basis."""
+    which must be invertible mod prime: the leads of the first basis
+    Buchberger yields that stop accepts, or None if it accepts none."""
 
     def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal | None:
         moved = []
@@ -485,12 +483,9 @@ def _gin_trial(
             q = {m: c % prime for m, c in p.items() if c % prime}
             if q:
                 moved.append(q)
-        if target is None:
-            *_, G = _buchberger(moved, prime, packing)
-            return _leads(G, packing)
         for G in _buchberger(moved, prime, packing):
             leads = _leads(G, packing)
-            if hilbert_numerator(leads) == target:
+            if stop(leads):
                 return leads
         return None
 
@@ -502,38 +497,38 @@ def gin(
 ) -> GinResult:
     """Reverse-lexicographic generic initial ideal with certification.
 
-    Two random changes of coordinates, run mod two distinct primes, must
-    produce the same initial ideal, that ideal must be strongly stable, and
-    its Hilbert series must equal the input's; otherwise the entry bound
+    One random change of coordinates, run mod a prime, must reach the
+    input's Hilbert series in a strongly stable ideal, and a second, mod
+    another prime, must reach that same ideal; otherwise the entry bound
     doubles (five rounds max) before NotCertified is raised.  `trials` counts
     the trials of every round run.  Deterministic in (generators, seed).
     """
     require_int(seed, "seed")
     if isinstance(gens, MonomialIdeal):
-        if gens.is_zero:
-            return GinResult(gens, seed, 0, True)
-        n = gens.ring.n
         # a monomial generator is already a primitive integer polynomial
-        int_gens = [{g: 1} for g in gens.sorted_gens()]
-        target = _gin_target(gens, n)
+        ring, int_gens = gens.ring, [{g: 1} for g in gens.sorted_gens()]
     else:
         ring, polys = _check_inputs(gens)
-        if not polys:
-            return GinResult(MonomialIdeal.zero(ring), seed, 0, True)
-        n = ring.n
         int_gens = [_to_int_poly(f) for f in polys]
-        target = _gin_target(int_gens, n)
+    if not int_gens:
+        return GinResult(MonomialIdeal.zero(ring), seed, 0, True)
+    target = _gin_target(gens if isinstance(gens, MonomialIdeal) else int_gens, ring.n)
     rng = random.Random(seed)
     bound = 10**4
     for r in range(5):
         # both matrices are drawn whatever the first trial gives, so the
         # stream a round consumes depends on the seed alone
-        matrices = [_draw_matrix(rng, n, bound) for _ in range(2)]
-        first = _gin_trial(int_gens, matrices[0], _PRIMES[2 * r], target)
-        if first is not None:
-            second = _gin_trial(int_gens, matrices[1], _PRIMES[2 * r + 1], target)
-            # each trial has reached the target: its stop is the Hilbert check
-            if first == second and is_strongly_stable(first):
+        m = [_draw_matrix(rng, ring.n, bound) for _ in range(2)]
+        first = _gin_trial(
+            int_gens, m[0], _PRIMES[2 * r], lambda L: hilbert_numerator(L) == target
+        )
+        if first is not None and is_strongly_stable(first):
+            # yields only grow, and inside `first` only `first` has its series
+            second = _gin_trial(
+                int_gens, m[1], _PRIMES[2 * r + 1],
+                lambda L: L == first or not first.contains_ideal(L),
+            )
+            if second == first:
                 return GinResult(first, seed, 2 * (r + 1), True)
         bound *= 2
     raise NotCertified(

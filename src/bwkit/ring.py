@@ -409,7 +409,7 @@ class Polynomial:
 
 _TERM_SPLIT = re.compile(r"(?<![\^*/])\s*([+-])\s*")
 _FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_COEFF = re.compile(r"^(\d+)(?:/(\d+))?$")
+_COEFF = re.compile(r"^(\d+)(?:/(\d*[1-9]\d*))?$")  # no zero denominator
 
 
 def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
@@ -988,4 +988,7 @@ class BWPolynomial(_SparseTable):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BWPolynomial":
-        return cls(cls._parse_entries(data["terms"]))
+        out = cls(cls._parse_entries(data["terms"]))
+        if require_int(data["dim"], "dimension") != out.w_degree():
+            raise ValueError(f"dim {data['dim']} differs from w-degree {out.w_degree()}")
+        return out

@@ -4,9 +4,10 @@ monomial counting (monomial and polynomial ideals), exact matrix rank over Q
 a Koszul-complex computation of graded Betti numbers, scans over all 2^n
 vertex subsets for the Krull dimension and the Stanley-Reisner bridge, the
 irreducible decomposition by recursive splitting of generators, the
-dimension filtration by intersecting those components one at a time, and
-Hochster's formulas by dense boundary matrices over every vertex subset and
-every face link.
+dimension filtration by intersecting those components one at a time,
+strong stability by every exchange x_j -> x_i (i < j), not only the adjacent
+ones, and Hochster's formulas by dense boundary matrices over every vertex
+subset and every face link.
 
 Everything here is deliberately naive and separate from the library's
 algorithms; only container types are shared.  One exception: the reference
@@ -48,6 +49,21 @@ def monomials_of_degree(n: int, k: int) -> list[tuple[int, ...]]:
         for rest in monomials_of_degree(n - 1, k - first):
             out.append((first,) + rest)
     return out
+
+
+def all_exchange_strongly_stable(ideal: MonomialIdeal) -> bool:
+    """Every exchange x_j -> x_i with i < j, applied to every minimal
+    generator, lands in the ideal, by a divisibility scan of the generators."""
+    gens = [g.exponents for g in ideal.gens]
+    for u in gens:
+        for j in range(len(u)):
+            for i in range(j if u[j] else 0):
+                v = list(u)
+                v[j] -= 1
+                v[i] += 1
+                if not any(all(map(le, g, v)) for g in gens):
+                    return False
+    return True
 
 
 def standard_monomial_counts(ideal: MonomialIdeal, upto: int) -> list[int]:

@@ -313,6 +313,15 @@ def test_non_integer_input_rejected(capsys, tmp_path, verb, payload):
     assert captured.err.startswith("error:")
 
 
+def test_zero_denominator_exits_2(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"vars": 2, "gens": ["1/0*x1 + x2"]}))
+    assert main(["gin", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad ideal: ") and "1/0" in captured.err
+
+
 def test_library_rejects_non_integer_exponents():
     with pytest.raises(ValueError, match="integer"):
         MonomialIdeal.from_json({"vars": 2, "gens": [[1.7, 0], [0, 2]]})
@@ -331,6 +340,7 @@ def test_library_rejects_non_integer_exponents():
         (GinResult, {"vars": 1, "gens": [[1]], "seed": 0, "trials": 2, "borel_certified": "yes"}),
         (HTriangle, {"d": 1, "entries": [{"i": 0, "j": 0, "value": True}]}),
         (LocalCohomologyTable, {"entries": [{"i": 0, "c": 0.5, "value": 1}]}),
+        (BWPolynomial, {"dim": True, "terms": [{"i": 1, "j": 0, "c": 1}]}),
     ],
 )
 def test_output_parsers_reject_non_integers(cls, payload):
@@ -385,6 +395,18 @@ def test_library_constructors_reject_non_integers(build):
 def test_tables_reject_indices_out_of_range(build):
     with pytest.raises(ValueError, match="outside|non-negative"):
         build()
+
+
+def test_bw_polynomial_from_json_checks_its_dim():
+    """A "dim" that contradicts the terms is refused, not rewritten."""
+    terms = [{"i": 1, "j": 0, "c": 1}]
+    for dim in (7, 0, -1):
+        with pytest.raises(ValueError, match="differs"):
+            BWPolynomial.from_json({"dim": dim, "terms": terms})
+    with pytest.raises(ValueError, match="differs"):
+        BWPolynomial.from_json({"dim": 0, "terms": []})
+    for doc in ({"dim": 1, "terms": terms}, {"dim": -1, "terms": []}):
+        assert BWPolynomial.from_json(doc).to_json() == doc
 
 
 # --format text stdout of every verb on the worked examples

@@ -3,6 +3,7 @@ initial ideals, cross-checked against naive division and standard-monomial
 counting."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -306,17 +307,26 @@ def _trial_inputs():
         yield k, ring, gens
 
 
+def _reaches(target):
+    """The Hilbert stop of a round's first trial."""
+    return lambda leads: hilbert_numerator(leads) == target
+
+
+def _confirms(first):
+    """The stop of a round's second trial: meet `first` or leave it."""
+    return lambda leads: leads == first or not first.contains_ideal(leads)
+
+
 def test_modular_trial_matches_exact_route():
-    """One F_p trial, stopped by the Hilbert target or run to the end, gives
-    the initial ideal over Q of the generators moved by the same matrix."""
+    """One F_p trial, stopped by the Hilbert target, gives the initial ideal
+    over Q of the generators moved by the same matrix."""
     for k, ring, gens in _trial_inputs():
         matrix = groebner._draw_matrix(random.Random(k), ring.n, 10**4)
         exact = initial_ideal([apply_linear_change(f, matrix) for f in gens])
         int_gens = [groebner._to_int_poly(f) for f in gens]
-        target = hilbert_numerator(initial_ideal(gens))
+        stop = _reaches(hilbert_numerator(initial_ideal(gens)))
         prime = groebner._PRIMES[k % 10]
-        assert groebner._gin_trial(int_gens, matrix, prime, target) == exact
-        assert groebner._gin_trial(int_gens, matrix, prime, None) == exact
+        assert groebner._gin_trial(int_gens, matrix, prime, stop) == exact
 
 
 def _dense_matrix(rng, n, bound):
@@ -347,10 +357,48 @@ def test_triangular_and_dense_trials_agree():
         assert _sparse_rank([dict(enumerate(r)) for r in dense], prime) == n
         triangular = groebner._draw_matrix(random.Random(k), n, 10**4)
         int_gens = [groebner._to_int_poly(f) for f in gens]
-        target = hilbert_numerator(initial_ideal(gens))
-        leads = groebner._gin_trial(int_gens, dense, prime, target)
+        stop = _reaches(hilbert_numerator(initial_ideal(gens)))
+        leads = groebner._gin_trial(int_gens, dense, prime, stop)
         assert leads is not None
-        assert groebner._gin_trial(int_gens, triangular, prime, target) == leads
+        assert groebner._gin_trial(int_gens, triangular, prime, stop) == leads
+
+
+def _monomial_outside(ideal):
+    """A monomial outside a proper ideal, of the largest degree up to the
+    ideal's top generator degree that has one."""
+    top = max(g.degree for g in ideal.gens)
+    for degree in range(top, -1, -1):
+        for e in itertools.product(range(degree + 1), repeat=ideal.ring.n):
+            m = Monomial(e)
+            if m.degree == degree and not ideal.contains(m):
+                return m
+    raise AssertionError(f"{ideal} is not proper")
+
+
+def test_confirming_trial_meets_exactly_the_hilbert_stopped_leads():
+    """The second trial's stop returns an ideal X exactly when X is the ideal
+    a Hilbert stop would have returned: for X the Hilbert-stopped leads L of
+    either trial's coordinates, L plus one monomial outside it, and the
+    unmoved initial ideal where it differs from L."""
+    inputs = [(ring, gens) for _, ring, gens in _trial_inputs()]
+    for k, (ring, gens) in enumerate(inputs + list(_stanley_reisner_inputs())):
+        int_gens = [groebner._to_int_poly(f) for f in gens]
+        unmoved = initial_ideal(gens)
+        stop = _reaches(hilbert_numerator(unmoved))
+        trials = [
+            (groebner._draw_matrix(random.Random(2 * k + t), ring.n, 10**4),
+             groebner._PRIMES[(2 * k + t) % 10])
+            for t in range(2)
+        ]
+        hilbert = [groebner._gin_trial(int_gens, m, p, stop) for m, p in trials]
+        first = hilbert[0]
+        candidates = [first, first.plus([_monomial_outside(first)])]
+        if unmoved != first:
+            candidates.append(unmoved)
+        for (matrix, prime), leads in zip(trials, hilbert):
+            for x in candidates:
+                confirmed = groebner._gin_trial(int_gens, matrix, prime, _confirms(x))
+                assert (confirmed == x) == (x == leads)
 
 
 def test_draw_matrix_is_unit_lower_triangular():
@@ -369,15 +417,16 @@ def test_draw_matrix_is_unit_lower_triangular():
 
 def test_modular_trial_that_misses_its_target_fails():
     """A trial whose bases never reach the target Hilbert series fails,
-    though its finished basis has leads."""
+    though the same trial stops on the gin when the target is right."""
     ideal = worked_example_ideal()
     int_gens = [{g: 1} for g in ideal.sorted_gens()]
     matrix = groebner._draw_matrix(random.Random(0), ideal.ring.n, 10**4)
     prime = groebner._PRIMES[0]
-    assert groebner._gin_trial(int_gens, matrix, prime, None) == worked_example_gin()
+    right = _reaches(hilbert_numerator(ideal))
+    assert groebner._gin_trial(int_gens, matrix, prime, right) == worked_example_gin()
     # K(0) = 1 for every monomial ideal
     unreachable = HilbertSeries(UniPoly([2]), ideal.ring.n)
-    assert groebner._gin_trial(int_gens, matrix, prime, unreachable) is None
+    assert groebner._gin_trial(int_gens, matrix, prime, _reaches(unreachable)) is None
 
 
 @pytest.mark.parametrize("wrong", ["impossible", "too small"])

@@ -27,6 +27,7 @@ from bwkit import (
 from bwkit.monomial import _irreducible_components, _minimal_transversals
 from corpus import borel_closure, random_monomial_ideal, random_stable_ideal
 from oracles import (
+    all_exchange_strongly_stable,
     fold_dimension_filtration,
     koszul_betti_table,
     split_irreducible_components,
@@ -448,6 +449,26 @@ def test_borel_closure_is_stable():
         c = borel_closure(i)
         assert is_strongly_stable(c)
         assert c.contains_ideal(i)
+
+
+def test_strong_stability_matches_the_all_exchange_oracle():
+    """Adjacent exchanges on the minimal generators decide strong stability
+    as every exchange does: on seeded random ideals, on their Borel closures,
+    and on closures with one generator moved up by a variable, where both
+    verdicts occur."""
+    rng = random.Random(1987)
+    verdicts = []
+    for _ in range(150):
+        i = random_monomial_ideal(rng, max_vars=5, max_degree=4, max_gens=4)
+        c = borel_closure(i)
+        g = rng.choice(sorted(c.gens, key=lambda m: m.exponents))
+        up = g * c.ring.variable(rng.randint(1, c.ring.n))
+        moved = MonomialIdeal(c.ring, [h for h in c.gens if h != g] + [up])
+        for q in (i, c, moved):
+            verdict = is_strongly_stable(q)
+            assert verdict == all_exchange_strongly_stable(q), q
+            verdicts.append(verdict)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 def test_ek_goldens():

@@ -128,6 +128,15 @@ def test_parse_and_str_roundtrip():
         assert parse_polynomial(R3, str(g)) == g
 
 
+def test_parse_rejects_a_zero_denominator():
+    """A zero denominator is bad input, not a ZeroDivisionError."""
+    for text in ("1/0*x1", "x1 + 3/00*x2^2", "-1/0"):
+        with pytest.raises(ValueError, match="cannot parse factor"):
+            parse_polynomial(R3, text)
+    assert parse_polynomial(R3, "3/10*x1") == x1.scale(Fraction(3, 10))
+    assert parse_polynomial(R3, "1/01*x1") == x1
+
+
 small_coeffs = st.integers(-4, 4)
 
 
