@@ -13,7 +13,7 @@ from .groebner import gin
 from .monomial import (
     FiltrationChain,
     MonomialIdeal,
-    _chain_depth,
+    borel_depth,
     dimension_filtration,
     hilbert_numerator,
 )
@@ -157,13 +157,13 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
         # gin(I^<i>) and what hangs on it change only where the chain moves;
         # below I^<0> sits I itself, whose gin dec_g already filtered
         prev, level, level_chain = ideal, g, chain_g
-        depth = _chain_depth(g, chain_g)
+        depth = borel_depth(g)
         for i, q in enumerate(chain_in.ideals[: chain_in.d]):
             if q != prev:
                 prev = q
                 level = gin(q, seed=seed).ideal
                 level_chain = dimension_filtration(level, route="borel")
-                depth = _chain_depth(level, level_chain)
+                depth = borel_depth(level)
             swapped = chain_g.ideals[i]
             if depth < i + 1:
                 miss("depth", i, f"depth {depth} < {i + 1}")

@@ -198,7 +198,7 @@ def _spair(f: _Basis, g: _Basis, packing: _Packing) -> IntPoly:
             out[key] = v
         else:
             out.pop(key, None)
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
 def _buchberger(

@@ -12,7 +12,7 @@ i-dimensional; U_0 can be nonzero (it is the finite-length part), so I^<0> = I
 exactly when R/I has positive depth.  The components, and the generators of
 each I^<i>, are read off by Alexander duality as minimal transversals of the
 polarized generators, or components.  For strongly stable ideals the same
-chain is computed by saturating with respect to x_n, x_{n-1}, ... in turn.
+chain comes from saturating by x_n, x_{n-1}, ... until <1>, with no transversals.
 """
 
 from __future__ import annotations
@@ -24,19 +24,19 @@ from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .ring import (
-    Exps, HilbertSeries, Monomial, RingSpec, UniPoly, _SparseTable, exponent_mask, require_int,
-    revlex_key,
+    Exps, HilbertSeries, Monomial, RingSpec, UniPoly, _SparseTable, _variable_position,
+    exponent_mask, require_int, revlex_key,
 )
 
 
-def _minimalize(exps: Iterable[Exps]) -> frozenset[Exps]:
-    """Keep only divisibility-minimal exponent vectors; <1> collapses to {1}."""
+def _minimalize(exps: Iterable[Exps]) -> list[Exps]:
+    """Keep only divisibility-minimal exponent vectors; <1> collapses to [1]."""
     items = sorted(set(exps), key=lambda e: (sum(e), e))
     kept: list[Exps] = []
     for e in items:
         if not any(all(map(le, k, e)) for k in kept):
             kept.append(e)
-    return frozenset(kept)
+    return kept
 
 
 class MonomialIdeal:
@@ -122,9 +122,7 @@ class MonomialIdeal:
     def saturate_variable(self, i: int) -> "MonomialIdeal":
         """(I : xi^inf): zero out the xi-exponent of every generator.  I itself
         when xi divides no generator."""
-        if not 1 <= i <= self.ring.n:
-            raise ValueError(f"variable index {i} out of range 1..{self.ring.n}")
-        k = i - 1
+        k = _variable_position(i, self.ring.n)
         if not any(g.exponents[k] for g in self.gens):
             return self
         return MonomialIdeal(
@@ -315,9 +313,7 @@ def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
 # -- Hilbert series -----------------------------------------------------------
 
 
-def _hilbert_numerator_rec(gens: tuple[Exps, ...], memo: dict) -> UniPoly:
-    if gens in memo:
-        return memo[gens]
+def _hilbert_numerator_rec(gens: Sequence[Exps]) -> UniPoly:
     n_vars = len(gens[0]) if gens else 0
     # count how many generators each variable appears in
     best_v, best_count = -1, 0
@@ -338,7 +334,7 @@ def _hilbert_numerator_rec(gens: tuple[Exps, ...], memo: dict) -> UniPoly:
             for i, c in enumerate(coeffs):
                 times[i + k] -= c
             coeffs = times
-        out = UniPoly(coeffs)
+        return UniPoly(coeffs)
     else:
         # pivot on the most shared variable: K(I) = K(I + <x>) + t * K(I : x)
         plus: list[Exps] = [tuple(1 if v == best_v else 0 for v in range(n_vars))]
@@ -347,11 +343,9 @@ def _hilbert_numerator_rec(gens: tuple[Exps, ...], memo: dict) -> UniPoly:
             tuple(x - 1 if v == best_v and x else x for v, x in enumerate(e))
             for e in gens
         ]
-        left = _hilbert_numerator_rec(tuple(sorted(_minimalize(plus))), memo)
-        right = _hilbert_numerator_rec(tuple(sorted(_minimalize(colon))), memo)
-        out = left + right.shift(1)
-    memo[gens] = out
-    return out
+        left = _hilbert_numerator_rec(_minimalize(plus))
+        right = _hilbert_numerator_rec(_minimalize(colon))
+        return left + right.shift(1)
 
 
 def hilbert_numerator(ideal: MonomialIdeal) -> HilbertSeries:
@@ -360,8 +354,8 @@ def hilbert_numerator(ideal: MonomialIdeal) -> HilbertSeries:
     if ideal.is_unit:
         return HilbertSeries(UniPoly.zero(), 0)
     if ideal._numerator is None:
-        gens = tuple(sorted(g.exponents for g in ideal.gens))
-        series = HilbertSeries(_hilbert_numerator_rec(gens, {}), ideal.ring.n)
+        gens = [g.exponents for g in ideal.gens]
+        series = HilbertSeries(_hilbert_numerator_rec(gens), ideal.ring.n)
         object.__setattr__(ideal, "_numerator", series)
     return ideal._numerator
 
@@ -380,7 +374,7 @@ def h_polynomial(ideal: MonomialIdeal) -> UniPoly:
 
 @dataclass(frozen=True)
 class FiltrationChain:
-    """Ideals I^<0> <= ... <= I^<d>; I^<d> is always the unit ideal."""
+    """Ideals I^<0> <= ... <= I^<d> of one ring; I^<d> is always the unit ideal."""
 
     d: int
     ideals: tuple[MonomialIdeal, ...]
@@ -388,6 +382,10 @@ class FiltrationChain:
     def __post_init__(self):
         if len(self.ideals) != self.d + 1:
             raise ValueError("filtration chain length must be d + 1")
+        if not self.ideals or not self.ideals[-1].is_unit:
+            raise ValueError("filtration chain must end at the unit ideal")
+        if any(q.ring != self.ideals[-1].ring for q in self.ideals):
+            raise ValueError("filtration chain ideals from different rings")
 
     def to_json(self) -> dict:
         return {"d": self.d, "ideals": [q.to_json() for q in self.ideals]}
@@ -404,8 +402,8 @@ def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> 
     """The chain I^<i> = intersection of irreducible components of dimension > i,
     generated by the descending transversal dual of those components.
 
-    route="borel" computes the same chain for strongly stable ideals by
-    successive saturations I^<i> = (I^<i-1> : x_{n-i}^inf), seeded at I.
+    route="borel" computes the same chain for strongly stable ideals, with no
+    transversals, by saturations I^<i> = (I^<i-1> : x_{n-i}^inf) from I to <1>.
     """
     if ideal.is_unit:
         raise ValueError("dimension filtration wants a proper ideal")
@@ -429,30 +427,27 @@ def dimension_filtration(ideal: MonomialIdeal, route: str = "decomposition") -> 
     elif route == "borel":
         if not is_strongly_stable(ideal):
             raise ValueError("borel route wants a strongly stable ideal")
-        d = krull_dimension(ideal)
+        # the zero ideal never reaches <1>: n levels, all zero
         cur = ideal
-        for i in range(d):
-            cur = cur.saturate_variable(n - i)
+        for i in range(n, 0, -1):
+            cur = cur.saturate_variable(i)
+            if cur.is_unit:
+                break
             ideals.append(cur)
     else:
         raise ValueError(f"unknown filtration route {route!r}")
-    return FiltrationChain(d, (*ideals, MonomialIdeal.unit(ring)))
+    return FiltrationChain(len(ideals), (*ideals, MonomialIdeal.unit(ring)))
 
 
 def borel_depth(ideal: MonomialIdeal) -> int:
-    """depth R/J for a strongly stable proper J: the first level where the
-    saturation chain moves."""
+    """depth R/J = n - max index of a minimal generator, for a strongly stable
+    proper J: pd R/J is that max (Eliahou-Kervaire, J. Algebra 129, 1990),
+    and depth = n - pd (Auslander-Buchsbaum)."""
     if not ideal.is_proper:
         raise ValueError("depth wants a proper ideal")
-    return _chain_depth(ideal, dimension_filtration(ideal, route="borel"))
-
-
-def _chain_depth(ideal: MonomialIdeal, chain: FiltrationChain) -> int:
-    """borel_depth read off the ideal's own saturation chain."""
-    for i, q in enumerate(chain.ideals):
-        if q != ideal:
-            return i
-    raise AssertionError("chain never reached the unit ideal")
+    if not is_strongly_stable(ideal):
+        raise ValueError("depth formula wants a strongly stable ideal")
+    return ideal.ring.n - max((g.max_index() for g in ideal.gens), default=0)
 
 
 # -- graded Betti numbers ------------------------------------------------------

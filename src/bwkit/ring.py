@@ -36,6 +36,13 @@ def require_int(x, what: str = "value") -> int:
     return x
 
 
+def _variable_position(i, n: int) -> int:
+    """i - 1 when i is an int in 1..n, a 1-based variable index; else ValueError."""
+    if not 1 <= require_int(i, "variable index") <= n:
+        raise ValueError(f"variable index {i} out of range 1..{n}")
+    return i - 1
+
+
 _FIELD_LIMIT = 1 << 31  # keeps trial-division primality under ~46k steps
 
 
@@ -63,10 +70,8 @@ class RingSpec:
 
     def variable(self, i: int) -> "Monomial":
         """Monomial xi, 1-based index."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable index {i} out of range 1..{self.n}")
         exps = [0] * self.n
-        exps[i - 1] = 1
+        exps[_variable_position(i, self.n)] = 1
         return Monomial(tuple(exps))
 
     def one(self) -> "Monomial":
@@ -135,7 +140,7 @@ class Monomial:
 
     def exponent(self, i: int) -> int:
         """Exponent of xi, 1-based."""
-        return self.exponents[i - 1]
+        return self.exponents[_variable_position(i, len(self.exponents))]
 
     def max_index(self) -> int:
         """Largest 1-based variable index dividing the monomial; 0 for 1."""

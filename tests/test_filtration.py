@@ -252,12 +252,12 @@ def _record_computations(monkeypatch) -> list:
     computed, depth = [], [0]
     real_rec = monomial._hilbert_numerator_rec
 
-    def counted_rec(gens, memo):
+    def counted_rec(gens):
         if not depth[0]:
-            computed.append(gens)
+            computed.append(tuple(sorted(gens)))
         depth[0] += 1
         try:
-            return real_rec(gens, memo)
+            return real_rec(gens)
         finally:
             depth[0] -= 1
 

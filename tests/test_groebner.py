@@ -21,10 +21,13 @@ from bwkit import (
     SimplicialComplex,
     UniPoly,
     apply_linear_change,
+    borel_depth,
+    dimension_filtration,
     gin,
     hilbert_numerator,
     initial_ideal,
     is_strongly_stable,
+    krull_dimension,
     normal_form,
     parse_polynomial,
     reduced_groebner_basis,
@@ -33,7 +36,7 @@ from bwkit import (
 )
 from bwkit import groebner
 from bwkit.ring import _sparse_rank
-from corpus import borel_closure, random_homogeneous_polys, random_monomial_ideal
+from corpus import borel_closure, random_homogeneous_polys, random_monomial_ideal, random_stable_ideal
 from oracles import poly_quotient_dims, standard_monomial_counts
 
 R2 = RingSpec(2)
@@ -305,6 +308,22 @@ def _trial_inputs():
             ring = ideal.ring
             gens = [Polynomial.from_monomial(ring, g) for g in ideal.sorted_gens()]
         yield k, ring, gens
+
+
+def test_borel_depth_and_dimension_agree_with_the_saturation_chain():
+    """On strongly stable ideals, seeded random ones and the gins of the trial
+    inputs, the depth formula gives the first level where the saturation
+    chain moves, and the chain ends at the Krull dimension."""
+    rng = random.Random(1990)
+    ideals = [MonomialIdeal.zero(RingSpec(3))]
+    ideals += [random_stable_ideal(rng, max_vars=5, max_degree=3) for _ in range(40)]
+    ideals += [gin(gens, seed=k).ideal for k, _, gens in _trial_inputs()]
+    proper = [j for j in ideals if j.is_proper]
+    assert len(proper) > 90
+    for j in proper:
+        chain = dimension_filtration(j, route="borel")
+        assert chain.d == krull_dimension(j)
+        assert borel_depth(j) == next(i for i, q in enumerate(chain.ideals) if q != j)
 
 
 def _reaches(target):

@@ -24,6 +24,7 @@ from bwkit import (
     krull_dimension,
     primary_decomposition,
 )
+from bwkit import monomial
 from bwkit.monomial import _irreducible_components, _minimal_transversals
 from corpus import borel_closure, random_monomial_ideal, random_stable_ideal
 from oracles import (
@@ -132,6 +133,8 @@ def test_saturation_checks_its_index():
         for j in (i, MonomialIdeal.zero(R3)):
             with pytest.raises(ValueError, match="out of range"):
                 j.saturate_variable(bad)
+    with pytest.raises(ValueError, match="integer"):
+        i.saturate_variable(True)
     assert i.saturate_variable(3) is i
     assert i.saturate_variable(2) == ideal(R3, (1, 0, 0))
 
@@ -424,11 +427,47 @@ def test_chain_json_roundtrip():
     assert FiltrationChain.from_json(chain.to_json()) == chain
 
 
+def test_chain_rejects_what_cannot_be_a_filtration():
+    """A chain needs d + 1 ideals of one ring, the last one the unit ideal."""
+    unit2, unit3 = MonomialIdeal.unit(R2), MonomialIdeal.unit(R3)
+    x1, x2 = ideal(R2, (1, 0)), ideal(R3, (0, 1, 0))
+    with pytest.raises(ValueError, match="unit ideal"):
+        FiltrationChain.from_json({"d": -1, "ideals": []})
+    with pytest.raises(ValueError, match="unit ideal"):
+        FiltrationChain(0, (MonomialIdeal.zero(R2),))
+    with pytest.raises(ValueError, match="unit ideal"):
+        FiltrationChain(1, (unit2, x1))
+    for levels in ((x1, x2, unit3), (x1, unit3)):
+        with pytest.raises(ValueError, match="different rings"):
+            FiltrationChain(len(levels) - 1, levels)
+    with pytest.raises(ValueError, match="d \\+ 1"):
+        FiltrationChain(2, (x1, unit2))
+
+
+def test_borel_route_and_depth_call_no_transversals(monkeypatch):
+    """The saturation chain and the depth formula of a strongly stable ideal
+    share no kernel with the decomposition route or krull_dimension."""
+    rng = random.Random(29)
+    stable = [random_stable_ideal(rng, max_vars=5, max_degree=3) for _ in range(20)]
+    cases = [worked_example_gin(), MonomialIdeal.zero(R3)] + [j for j in stable if j.is_proper]
+    chains = [dimension_filtration(j) for j in cases]
+
+    def refuse(edges):
+        raise AssertionError("the transversal kernel was called")
+
+    monkeypatch.setattr(monomial, "_minimal_transversals", refuse)
+    for j, chain in zip(cases, chains):
+        assert dimension_filtration(j, route="borel") == chain
+        assert borel_depth(j) == next(i for i, q in enumerate(chain.ideals) if q != j)
+
+
 def test_borel_depth_goldens():
     assert borel_depth(worked_example_gin()) == 2
     assert borel_depth(ideal(R3, (1, 0, 0), (0, 1, 0), (0, 0, 1))) == 0
     assert borel_depth(ideal(R2, (1, 0))) == 1
     assert borel_depth(MonomialIdeal.zero(R2)) == 2
+    with pytest.raises(ValueError, match="strongly stable"):
+        borel_depth(worked_example_ideal())
 
 
 # -- strong stability and Betti numbers ----------------------------------------------

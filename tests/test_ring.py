@@ -85,7 +85,8 @@ def test_monomial_ops():
 
 def test_monomial_checks_exponents_and_lengths():
     """A non-integer or negative exponent is refused where the monomial is
-    built, and monomials of different lengths where they are combined."""
+    built, and monomials of different lengths where they are combined.  A
+    variable index outside 1..n, or not an int, is refused, not wrapped."""
     for bad in ((1.5, 0), (True, 0), ("1", 0), [1, 0]):
         with pytest.raises(ValueError, match="integer"):
             Monomial(bad)
@@ -95,6 +96,15 @@ def test_monomial_checks_exponents_and_lengths():
     for op in (Monomial.__mul__, Monomial.divides, Monomial.quotient, Monomial.lcm, Monomial.gcd):
         with pytest.raises(ValueError, match="different dimension"):
             op(a, b)
+    assert [a.exponent(i) for i in (1, 2, 3)] == [1, 2, 3]
+    for bad in (0, -1, 4):
+        for index in (a.exponent, RingSpec(3).variable):
+            with pytest.raises(ValueError, match="out of range"):
+                index(bad)
+    for bad in (True, 1.0, "1"):
+        for index in (a.exponent, RingSpec(3).variable):
+            with pytest.raises(ValueError, match="integer"):
+                index(bad)
 
 
 # -- polynomials ----------------------------------------------------------------
