@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -197,6 +196,8 @@ def _cmd_local_cohomology(loaded, args):
     if isinstance(loaded, SimplicialComplex):
         table = local_cohomology_hochster(loaded, field)
         route = "hochster"
+    elif field is not None:
+        raise InputError("the layer route is over Q; pass the complex for --field p:<prime>")
     else:
         table = local_cohomology_scm(_require_monomial(loaded, "local-cohomology"), seed=args.seed)
         route = "filtration"
@@ -259,10 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, (handler, help_text) in _HANDLERS.items():
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--input", required=True, help='JSON input path, or "-" for stdin')
-        # argparse runs a string default through type= only when --seed is
-        # absent, so a non-integer BWKIT_SEED exits 2 exactly when it is used
-        p.add_argument("--seed", type=int, default=os.environ.get("BWKIT_SEED", "0"),
-                       help="randomness seed (default: BWKIT_SEED or 0)")
+        p.add_argument("--seed", type=int, default=0, help="randomness seed (default: 0)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if verb in ("betti", "local-cohomology"):
             p.add_argument("--field", default="q", help='homology coefficients: "q" or "p:<prime>"')

@@ -41,10 +41,11 @@ def _minimalize(exps: Iterable[Exps]) -> list[Exps]:
 
 class MonomialIdeal:
     """A monomial ideal, stored by its unique minimal generating set.  Its
-    Hilbert numerator is computed once, by hilbert_numerator, and kept in the
-    private _numerator slot, which value semantics ignore."""
+    Hilbert numerator and strong-stability verdict are computed once, by
+    hilbert_numerator and is_strongly_stable, and kept in the private
+    _numerator and _stable slots, which value semantics ignore."""
 
-    __slots__ = ("ring", "gens", "_numerator")
+    __slots__ = ("ring", "gens", "_numerator", "_stable")
 
     def __init__(self, ring: RingSpec, gens: Iterable[Monomial]):
         exps = []
@@ -57,6 +58,7 @@ class MonomialIdeal:
             self, "gens", frozenset(Monomial(e) for e in _minimalize(exps))
         )
         object.__setattr__(self, "_numerator", None)
+        object.__setattr__(self, "_stable", None)
 
     def __setattr__(self, *_):
         raise AttributeError("MonomialIdeal is immutable")
@@ -187,16 +189,17 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     """Borel-fixedness in characteristic zero: every exchange xj -> xi (i < j)
     maps I into itself.  Adjacent steps on the minimal generators suffice: for
     v = w m in I, w minimal, x_{j-1} v / x_j is (x_{j-1} w / x_j) m if x_j | w
-    and w (x_{j-1} m / x_j) if x_j | m; chaining such steps gives the rest."""
-    for g in ideal.gens:
-        for j in g.support():
-            if j > 1:
-                e = list(g.exponents)
-                e[j - 1] -= 1
-                e[j - 2] += 1
-                if not ideal.contains(Monomial(tuple(e))):
-                    return False
-    return True
+    and w (x_{j-1} m / x_j) if x_j | m; chaining such steps gives the rest.
+    Decided once per ideal and kept on it."""
+    if ideal._stable is None:
+        steps = (
+            Monomial(e[: j - 2] + (e[j - 2] + 1, e[j - 1] - 1) + e[j:])
+            for e in (g.exponents for g in ideal.gens)
+            for j in range(2, len(e) + 1)
+            if e[j - 1]
+        )
+        object.__setattr__(ideal, "_stable", all(map(ideal.contains, steps)))
+    return ideal._stable
 
 
 def _minimal_transversals(edges: Iterable[int]) -> list[int]:
@@ -350,12 +353,13 @@ def _hilbert_numerator_rec(gens: Sequence[Exps]) -> UniPoly:
 
 def hilbert_numerator(ideal: MonomialIdeal) -> HilbertSeries:
     """Hilb(R/I) presented as K(t) / (1-t)^n via pivot recursion, computed
-    once per ideal and kept on it."""
-    if ideal.is_unit:
-        return HilbertSeries(UniPoly.zero(), 0)
+    once per ideal and kept on it; R/<1> = 0 never reaches the recursion."""
     if ideal._numerator is None:
-        gens = [g.exponents for g in ideal.gens]
-        series = HilbertSeries(_hilbert_numerator_rec(gens), ideal.ring.n)
+        if ideal.is_unit:
+            series = HilbertSeries(UniPoly.zero(), 0)
+        else:
+            gens = [g.exponents for g in ideal.gens]
+            series = HilbertSeries(_hilbert_numerator_rec(gens), ideal.ring.n)
         object.__setattr__(ideal, "_numerator", series)
     return ideal._numerator
 

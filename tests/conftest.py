@@ -35,6 +35,26 @@ def scm_flags_all(corpus_all):
     return [scm_oracle(c) for c in corpus_all]
 
 
+@pytest.fixture
+def stability_decisions(monkeypatch):
+    """The ideals whose strong stability is decided while the test runs, in
+    order: calls of is_strongly_stable, through any module that imports it,
+    on an ideal that holds no verdict yet."""
+    from bwkit import cli, groebner, monomial
+
+    decided = []
+    real = monomial.is_strongly_stable
+
+    def counted(q):
+        if getattr(q, "_stable", None) is None:
+            decided.append(q)
+        return real(q)
+
+    for module in (monomial, groebner, cli):
+        monkeypatch.setattr(module, "is_strongly_stable", counted)
+    return decided
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

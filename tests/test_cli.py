@@ -198,7 +198,7 @@ def test_shift_payload(capsys, complex_path):
     ]
 
 
-def test_betti_payloads(capsys, complex_path, tmp_path):
+def test_betti_payloads(capsys, complex_path, tmp_path, stability_decisions):
     data = run_json(capsys, ["betti", "--input", complex_path])
     assert BettiTable.from_json(data).totals() == [1, 7, 11, 6, 1]
     assert data["route"] == "hochster"
@@ -207,6 +207,8 @@ def test_betti_payloads(capsys, complex_path, tmp_path):
     stable.write_text(json.dumps({"vars": 2, "gens": [[2, 0], [1, 1]]}))
     ek = run_json(capsys, ["betti", "--input", str(stable)])
     assert ek["route"] == "eliahou-kervaire"
+    # the route choice decides stability; the formula reads the verdict back
+    assert len(stability_decisions) == 1
     assert BettiTable.from_json(ek).totals() == [1, 2, 1]
 
     mixed = tmp_path / "mixed.json"
@@ -222,6 +224,32 @@ def test_betti_of_squarefree_ideal_takes_the_hochster_route(capsys, ideal_path, 
         via_complex = run_json(capsys, ["betti", "--input", complex_path, "--field", field])
         assert via_ideal["route"] == "hochster"
         assert via_ideal == via_complex
+
+
+# the 6-vertex real projective plane: its local cohomology depends on the field
+RP2_COMPLEX = {
+    "n": 6,
+    "facets": [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+               [2, 3, 5], [3, 4, 6], [2, 4, 5], [3, 5, 6], [2, 4, 6]],
+}
+
+
+def test_local_cohomology_of_an_ideal_refuses_a_prime_field(capsys, tmp_path):
+    """The layer route is over Q, so an ideal with --field p:<prime> exits 2
+    and points to the complex, which gives H^2 over F_2 but not over Q."""
+    cpx = tmp_path / "rp2.json"
+    cpx.write_text(json.dumps(RP2_COMPLEX))
+    sr = tmp_path / "rp2-ideal.json"
+    sr.write_text(json.dumps(bwkit.stanley_reisner_ideal(SimplicialComplex.from_json(RP2_COMPLEX)).to_json()))
+    over_q = run_json(capsys, ["local-cohomology", "--input", str(sr)])
+    assert over_q["route"] == "filtration"
+    assert {e["i"] for e in over_q["entries"]} == {3}
+    assert main(["local-cohomology", "--input", str(sr), "--field", "p:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over Q" in captured.err and "complex" in captured.err
+    over_f2 = run_json(capsys, ["local-cohomology", "--input", str(cpx), "--field", "p:2"])
+    assert {e["i"] for e in over_f2["entries"]} == {2, 3}
 
 
 def test_certification_failure_exits_3(capsys, ideal_path, monkeypatch):
@@ -480,23 +508,13 @@ def test_stdin_input(capsys, monkeypatch):
     assert data["d"] == 3
 
 
-def test_seed_env_fallback(capsys, ideal_path, monkeypatch):
-    monkeypatch.setenv("BWKIT_SEED", "7")
-    data = run_json(capsys, ["gin", "--input", ideal_path])
-    assert data["seed"] == 7
-    ideal = MonomialIdeal.from_json(data)
-    assert {m.exponents for m in ideal.gens} == GIN_GENS
-
-
-def test_seed_env_must_be_an_integer(capsys, ideal_path, monkeypatch):
-    monkeypatch.setenv("BWKIT_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["gin", "--input", ideal_path, "--format", "text"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error:" in captured.err and "abc" in captured.err
-    # an explicit --seed never reads the environment
+def test_seed_defaults_to_zero_whatever_the_environment(capsys, ideal_path, monkeypatch):
+    # only --seed sets the seed: a set BWKIT_SEED, integer or not, is ignored
+    for value in ("7", "abc"):
+        monkeypatch.setenv("BWKIT_SEED", value)
+        data = run_json(capsys, ["gin", "--input", ideal_path])
+        assert data["seed"] == 0
+        assert {m.exponents for m in MonomialIdeal.from_json(data).gens} == GIN_GENS
     data = run_json(capsys, ["gin", "--input", ideal_path, "--seed", "7"])
     assert data["seed"] == 7
 

@@ -4,6 +4,7 @@ verdicts, and local cohomology through the dimension filtration."""
 import random
 import warnings
 from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -246,6 +247,30 @@ def test_scm_check_battery_matches_per_level_reference():
     assert min(kinds.values()) > 0 and len(kinds) == 5, kinds
 
 
+def test_inflated_stanley_reisner_ideals_keep_their_verdict(corpus5, scm_flags5):
+    """x_i -> x_i^{a_i} makes R/J a free module over the Stanley-Reisner ring
+    (basis x^b, b_i < a_i), so it keeps sequential Cohen-Macaulayness either
+    way.  On every third corpus complex, inflated by seeded a_i in {1, 2}
+    into a non-squarefree ideal, the verdict is the oracle's, and on the
+    non-SCM ones the battery matches the per-level reference."""
+    rng = random.Random(19)
+    verdicts = Counter()
+    for k, (cpx, flag) in enumerate(zip(corpus5, scm_flags5)):
+        powers = [rng.choice((1, 2)) for _ in range(cpx.n)]
+        if k % 3 != 1:
+            continue
+        sr = stanley_reisner_ideal(cpx)
+        j = MonomialIdeal(sr.ring, (Monomial(tuple(map(mul, g.exponents, powers))) for g in sr.gens))
+        if j.is_squarefree():
+            continue
+        report = scm_check(j, seed=k % 5)
+        assert report.scm == flag, cpx
+        if not report.scm:
+            assert report.to_json()["criteria"] == battery_per_level(j, k % 5)
+        verdicts[report.scm] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 5, verdicts
+
+
 def _record_computations(monkeypatch) -> list:
     """Record the generators of every numerator computation: a top-level
     entry into monomial._hilbert_numerator_rec, which re-enters itself."""
@@ -269,10 +294,12 @@ def _gens_key(q: MonomialIdeal) -> tuple:
     return tuple(sorted(g.exponents for g in q.gens))
 
 
-def test_scm_check_evaluates_each_distinct_level_once(monkeypatch):
+def test_scm_check_evaluates_each_distinct_level_once(monkeypatch, stability_decisions):
     """On the chain I, I, J, J, <1> the battery gins I and J once each and
-    filters each gin once, and the layer decomposition computes one Hilbert
-    numerator per distinct proper ideal."""
+    filters each gin once; gin's certificate decides that each gin is
+    strongly stable, and the saturation route and borel_depth read that
+    verdict back.  The layer decomposition computes one Hilbert numerator
+    per distinct proper ideal."""
     i = repeating_chain_ideal()
     j = ideal(RingSpec(5), (1, 0, 0, 0, 0))
     assert dimension_filtration(i).ideals[:4] == (i, i, j, j)
@@ -291,9 +318,11 @@ def test_scm_check_evaluates_each_distinct_level_once(monkeypatch):
     monkeypatch.setattr(filtration, "gin", counted_gin)
     monkeypatch.setattr(filtration, "dimension_filtration", counted_filtration)
     report = scm_check(i, seed=0)
+    decided = list(stability_decisions)
     assert report.scm
     assert gins == {i: 1, j: 1}
     assert borel == {gin(i, seed=0).ideal: 1, gin(j, seed=0).ideal: 1}
+    assert decided == [gin(i, seed=0).ideal, gin(j, seed=0).ideal]
 
     # a fresh copy of I: scm_check has already numerated i and its levels
     computed = _record_computations(monkeypatch)

@@ -510,6 +510,22 @@ def test_strong_stability_matches_the_all_exchange_oracle():
     assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
+def test_stability_verdict_is_kept_on_each_ideal(stability_decisions):
+    """The first call decides the verdict and later calls read it back; an
+    equal ideal built separately decides its own, and the kept verdict
+    leaves equality and hashing alone."""
+    a, b = worked_example_gin(), worked_example_gin()
+    unstable = worked_example_ideal()
+    before = hash(a)
+    for _ in range(2):
+        assert monomial.is_strongly_stable(a)
+        assert not monomial.is_strongly_stable(unstable)
+    assert [id(q) for q in stability_decisions] == [id(a), id(unstable)]
+    assert monomial.is_strongly_stable(b)
+    assert stability_decisions[-1] is b and len(stability_decisions) == 3
+    assert a == b and hash(a) == hash(b) == before
+
+
 def test_ek_goldens():
     table = betti_eliahou_kervaire(worked_example_gin())
     assert table.totals() == [1, 7, 11, 6, 1]
