@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Sequence
 
 from .filtration import (
+    NotSCM,
     bw_from_complex,
     bw_polynomial,
     local_cohomology_scm,
@@ -194,14 +196,26 @@ def _cmd_scm(loaded, args):
 def _cmd_local_cohomology(loaded, args):
     field = _parse_field(args.field)
     if isinstance(loaded, SimplicialComplex):
-        table = local_cohomology_hochster(loaded, field)
-        route = "hochster"
-    elif field is not None:
-        raise InputError("the layer route is over Q; pass the complex for --field p:<prime>")
+        cpx = loaded
     else:
-        table = local_cohomology_scm(_require_monomial(loaded, "local-cohomology"), seed=args.seed)
-        route = "filtration"
-    return {**table.to_json(), "route": route}, str(table)
+        # the layer route needs SCM input over Q; a squarefree ideal it
+        # cannot take goes through its complex, as betti's does
+        ideal = _require_monomial(loaded, "local-cohomology")
+        if field is None:
+            try:
+                table = local_cohomology_scm(ideal, seed=args.seed)
+            except NotSCM:
+                if not ideal.is_squarefree():
+                    raise
+            else:
+                return {**table.to_json(), "route": "filtration"}, str(table)
+        elif not ideal.is_squarefree():
+            raise InputError(
+                "the layer route is over Q; --field p:<prime> needs a complex or a squarefree ideal"
+            )
+        cpx = complex_of_ideal(ideal)
+    table = local_cohomology_hochster(cpx, field)
+    return {**table.to_json(), "route": "hochster"}, str(table)
 
 
 def _cmd_alexander_dual(loaded, args):
@@ -274,15 +288,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        loaded = _load_input(args.input)
-        payload, text = args.handler(loaded, args)
-    except NotCertified as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the library's warnings reach the user as one line each, like its errors
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            loaded = _load_input(args.input)
+            payload, text = args.handler(loaded, args)
+        except NotCertified as exc:
+            print(f"certification failure: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(_json_safe(payload), indent=2))
     else:

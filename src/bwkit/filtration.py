@@ -7,7 +7,6 @@ read off the layer polynomial.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .groebner import gin
 from .monomial import (
@@ -17,7 +16,7 @@ from .monomial import (
     dimension_filtration,
     hilbert_numerator,
 )
-from .ring import BWPolynomial, UniPoly
+from .ring import BWPolynomial, UniPoly, _Record
 from .simplicial import LocalCohomologyTable, SimplicialComplex, h_triangle
 
 
@@ -25,14 +24,14 @@ class NotSCM(ValueError):
     """The algebra is not sequentially Cohen-Macaulay."""
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
+class LayerDecomposition(_Record):
     """Filtration chain plus the h-polynomial of each layer U_i = I^<i>/I^<i-1>,
     i = 0..d (the virtual I^<-1> is I itself, so layer 0 can be nonzero only
     for depth-zero quotients).  The Hilbert numerator of I and of each chain
     level is computed once per ideal and kept on it, so asking for it again
     after the decomposition costs nothing."""
 
+    __slots__ = ("chain", "layer_h")
     chain: FiltrationChain
     layer_h: tuple[UniPoly, ...]
 
@@ -72,8 +71,8 @@ def bw_from_complex(cpx: SimplicialComplex) -> BWPolynomial:
     return BWPolynomial(h_triangle(cpx).entries)
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(_Record):
+    __slots__ = ("name", "holds", "witness_index", "detail")
     name: str
     holds: bool
     witness_index: int | None
@@ -88,14 +87,14 @@ class CriterionVerdict:
         }
 
 
-@dataclass(frozen=True)
-class ScmReport:
+class ScmReport(_Record):
     """Verdict of the layer-polynomial comparison BW(R/I) vs BW(R/gin(I)),
     with the equivalent per-level criteria when the full battery runs.
 
     All criteria characterize the same property, so they must agree; a
     disagreement raises instead of returning."""
 
+    __slots__ = ("scm", "seed", "bw_input", "bw_gin", "witness", "criteria")
     scm: bool
     seed: int
     bw_input: BWPolynomial

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -53,6 +52,7 @@ from .ring import (
     Polynomial,
     RingSpec,
     _Packing,
+    _Record,
     _substitute,
     require_int,
 )
@@ -322,10 +322,10 @@ def _to_polynomial(ring: RingSpec, p: IntPoly, packing: _Packing) -> Polynomial:
 # -- public API ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(_Record):
     """Reduced Groebner basis: monic, auto-reduced, sorted by descending lead."""
 
+    __slots__ = ("ring", "elements")
     ring: RingSpec
     elements: tuple[Polynomial, ...]
 
@@ -412,10 +412,10 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return rem
 
 
-@dataclass(frozen=True)
-class GinResult:
+class GinResult(_Record):
     """Certified generic initial ideal."""
 
+    __slots__ = ("ideal", "seed", "trials", "borel_certified")
     ideal: MonomialIdeal
     seed: int
     trials: int

@@ -18,13 +18,12 @@ chain comes from saturating by x_n, x_{n-1}, ... until <1>, with no transversals
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .ring import (
-    Exps, HilbertSeries, Monomial, RingSpec, UniPoly, _SparseTable, _variable_position,
+    Exps, HilbertSeries, Monomial, RingSpec, UniPoly, _Record, _SparseTable, _variable_position,
     exponent_mask, require_int, revlex_key,
 )
 
@@ -227,10 +226,10 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
     return ideal.ring.n - min(map(int.bit_count, _minimal_transversals(supports)))
 
 
-@dataclass(frozen=True)
-class PrimaryDecomposition:
+class PrimaryDecomposition(_Record):
     """Primary components keyed by their associated prime's support."""
 
+    __slots__ = ("ideal", "components")
     ideal: MonomialIdeal
     components: tuple[tuple[frozenset[int], MonomialIdeal], ...]
 
@@ -376,20 +375,21 @@ def h_polynomial(ideal: MonomialIdeal) -> UniPoly:
 # -- dimension filtration ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiltrationChain:
+class FiltrationChain(_Record):
     """Ideals I^<0> <= ... <= I^<d> of one ring; I^<d> is always the unit ideal."""
 
+    __slots__ = ("d", "ideals")
     d: int
     ideals: tuple[MonomialIdeal, ...]
 
-    def __post_init__(self):
-        if len(self.ideals) != self.d + 1:
+    def __init__(self, d: int, ideals: tuple[MonomialIdeal, ...]):
+        if len(ideals) != d + 1:
             raise ValueError("filtration chain length must be d + 1")
-        if not self.ideals or not self.ideals[-1].is_unit:
+        if not ideals or not ideals[-1].is_unit:
             raise ValueError("filtration chain must end at the unit ideal")
-        if any(q.ring != self.ideals[-1].ring for q in self.ideals):
+        if any(q.ring != ideals[-1].ring for q in ideals):
             raise ValueError("filtration chain ideals from different rings")
+        super().__init__(d, ideals)
 
     def to_json(self) -> dict:
         return {"d": self.d, "ideals": [q.to_json() for q in self.ideals]}

@@ -9,6 +9,9 @@ every result table (the layer polynomial, the f- and h-triangles, Betti and
 local cohomology tables): it validates the integer entries, gives value
 semantics and writes and parses the one JSON entry list.  _signed_sum writes
 the text of every signed sum of terms (Polynomial, UniPoly, BWPolynomial).
+_Record is the base of the immutable result records (decompositions,
+filtration chains, Groebner and gin results, SCM reports): positional
+fields, value equality and hash, and a readable repr.
 
 Monomial order is graded reverse lexicographic with x1 > x2 > ... > xn:
 higher total degree wins, ties go to the monomial whose last nonzero entry
@@ -19,7 +22,6 @@ of the exponent difference is negative. All coefficient arithmetic is exact
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, TypeVar
@@ -58,15 +60,33 @@ def require_field(p) -> int | None:
     return p
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """A standard graded polynomial ring Q[x1..xn], deg xi = 1."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        if require_int(self.n, "variable count") < 1:
+    def __init__(self, n: int):
+        if require_int(n, "variable count") < 1:
             raise ValueError("ring needs at least one variable")
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, *_):
+        raise AttributeError("RingSpec is immutable")
+
+    __delattr__ = __setattr__
+
+    # written out rather than a _Record: every ideal compares and hashes its ring
+    def __eq__(self, other) -> bool:
+        return other.__class__ is RingSpec and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
+
+    def __reduce__(self):
+        return RingSpec, (self.n,)
+
+    def __repr__(self) -> str:
+        return f"RingSpec(n={self.n})"
 
     def variable(self, i: int) -> "Monomial":
         """Monomial xi, 1-based index."""
@@ -861,6 +881,48 @@ class HilbertSeries:
             UniPoly(require_int(c, "numerator coefficient") for c in data["numerator"]),
             data["denom_power"],
         )
+
+
+class _Record:
+    """Base of the immutable result records: value objects whose fields are
+    the subclass's __slots__, in order.
+
+    They are built positionally; a subclass that checks its fields does so in
+    its own __init__ before calling this one.  Equality and hash go over the
+    tuple of fields, so a record hashes like that tuple.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
 
 
 class _SparseTable:

@@ -16,14 +16,13 @@ rows integral over Q (so the rank is exact) and runs mod p over F_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
 from .ring import (
-    Monomial, RingSpec, UniPoly, _SparseTable, _power, _signed_sum, _sparse_rank, exponent_mask, require_field,
+    Monomial, RingSpec, UniPoly, _Record, _SparseTable, _power, _signed_sum, _sparse_rank, exponent_mask, require_field,
     require_int,
 )
 
@@ -558,11 +557,11 @@ def symmetric_shift(cpx: SimplicialComplex, seed: int = 0) -> SimplicialComplex:
 # -- dual Betti / h-triangle identity ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class HrwResult:
+class HrwResult(_Record):
     """Row-by-row comparison of sum_c beta_{i-c+1, n-c}(dual) (t-1)^(i-c)
     against the h-triangle rows."""
 
+    __slots__ = ("equal", "residuals", "degenerate")
     equal: bool
     residuals: tuple[tuple[int, UniPoly], ...]
     degenerate: bool

@@ -162,9 +162,14 @@ def test_local_cohomology_payloads(capsys, tmp_path, ideal_path, complex_path):
     assert table.entries == {(2, 0): 1, (2, 1): 3, (3, 3): 3}
     assert hoch["route"] == "hochster"
 
-    # the worked ideal is not sequentially Cohen-Macaulay: layer route refuses
-    assert main(["local-cohomology", "--input", ideal_path]) == 2
-    assert "error" in capsys.readouterr().err
+    # the worked ideal is not sequentially Cohen-Macaulay, so the layer route
+    # refuses it; being squarefree, it goes through its complex instead
+    assert run_json(capsys, ["local-cohomology", "--input", ideal_path]) == hoch
+    # (x1^2, x2) meet (x3, x4) only at the origin: neither route takes it
+    unmixed = tmp_path / "unmixed.json"
+    unmixed.write_text(json.dumps({"vars": 4, "gens": [[2, 0, 1, 0], [2, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]]}))
+    assert main(["local-cohomology", "--input", str(unmixed)]) == 2
+    assert capsys.readouterr() == ("", "error: layer formula needs a sequentially Cohen-Macaulay algebra\n")
 
     gin_path = tmp_path / "gin.json"
     gin_path.write_text(json.dumps({"vars": 6, "gens": [list(g) for g in sorted(GIN_GENS)]}))
@@ -235,8 +240,9 @@ RP2_COMPLEX = {
 
 
 def test_local_cohomology_of_an_ideal_refuses_a_prime_field(capsys, tmp_path):
-    """The layer route is over Q, so an ideal with --field p:<prime> exits 2
-    and points to the complex, which gives H^2 over F_2 but not over Q."""
+    """The layer route is over Q.  With --field p:<prime> a squarefree ideal
+    goes through its complex, which gives H^2 over F_2 but not over Q; any
+    other ideal exits 2 and points to the complex."""
     cpx = tmp_path / "rp2.json"
     cpx.write_text(json.dumps(RP2_COMPLEX))
     sr = tmp_path / "rp2-ideal.json"
@@ -244,12 +250,15 @@ def test_local_cohomology_of_an_ideal_refuses_a_prime_field(capsys, tmp_path):
     over_q = run_json(capsys, ["local-cohomology", "--input", str(sr)])
     assert over_q["route"] == "filtration"
     assert {e["i"] for e in over_q["entries"]} == {3}
-    assert main(["local-cohomology", "--input", str(sr), "--field", "p:2"]) == 2
+    over_f2 = run_json(capsys, ["local-cohomology", "--input", str(cpx), "--field", "p:2"])
+    assert {e["i"] for e in over_f2["entries"]} == {2, 3}
+    assert run_json(capsys, ["local-cohomology", "--input", str(sr), "--field", "p:2"]) == over_f2
+    stable = tmp_path / "stable.json"
+    stable.write_text(json.dumps({"vars": 2, "gens": [[2, 0], [1, 1]]}))
+    assert main(["local-cohomology", "--input", str(stable), "--field", "p:2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "over Q" in captured.err and "complex" in captured.err
-    over_f2 = run_json(capsys, ["local-cohomology", "--input", str(cpx), "--field", "p:2"])
-    assert {e["i"] for e in over_f2["entries"]} == {2, 3}
 
 
 def test_certification_failure_exits_3(capsys, ideal_path, monkeypatch):
@@ -539,23 +548,51 @@ def test_zero_generators_are_dropped(capsys, tmp_path):
     assert with_zero == run_json(capsys, ["hilbert", "--input", str(path)])
 
 
-def test_console_script_smoke(tmp_path, ideal_path):
+_SRC = str(Path(bwkit.__file__).resolve().parent.parent)
+
+
+def _run_module(cwd, *argv):
     # Run the child against the package this test imported, from a neutral
     # working directory, so neither the caller's cwd nor a stale installed
     # copy decides what runs.
-    src = str(Path(bwkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bwkit", "scm", "--input", ideal_path],
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "bwkit", *argv],
         capture_output=True,
         text=True,
         timeout=120,
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
     )
+
+
+def test_console_script_smoke(tmp_path, ideal_path):
+    proc = _run_module(tmp_path, "scm", "--input", ideal_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["scm"] is False
+
+
+def test_bw_of_the_unit_ideal_warns_in_one_line(tmp_path):
+    # run as a script would be, so Python's own warning display is in play
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"vars": 2, "gens": [[0, 0]]}))
+    proc = _run_module(tmp_path, "bw", "--input", str(path), "--format", "text")
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+    assert proc.stderr == "warning: layer polynomial of the zero algebra is 0\n"
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Every CLI call pays for its imports; dataclasses drags in inspect, ast,
+    dis and tokenize.  -S keeps site hooks from loading them on their own."""
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import bwkit.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, _SRC], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "bwkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.skipif(

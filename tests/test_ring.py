@@ -1,6 +1,8 @@
 """Monomial order, polynomial arithmetic, univariate helpers, Hilbert series,
 and the bivariate layer polynomial."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,16 +11,25 @@ from hypothesis import strategies as st
 
 from bwkit import (
     BWPolynomial,
+    FiltrationChain,
     HilbertSeries,
     Monomial,
+    MonomialIdeal,
     Polynomial,
     RingSpec,
+    SimplicialComplex,
     UniPoly,
     apply_linear_change,
+    dimension_filtration,
+    gin,
+    hrw_check,
+    layer_decomposition,
     parse_polynomial,
+    primary_decomposition,
     reduced_groebner_basis,
     revlex_compare,
     revlex_key,
+    scm_check,
 )
 from bwkit.ring import _Packing, exponent_revlex_key
 
@@ -355,3 +366,78 @@ def test_bw_structure():
     assert BWPolynomial.zero().w_degree() == -1
     with pytest.raises(ValueError):
         BWPolynomial({(-1, 0): 1})
+
+
+# -- immutable records ------------------------------------------------------------
+
+
+def _two_edges_ideal():
+    """Stanley-Reisner ideal of two disjoint edges: not sequentially CM."""
+    return MonomialIdeal.from_exponents(
+        RingSpec(4), [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    )
+
+
+# each record, built twice from scratch, with its fields in constructor order
+RECORDS = {
+    "RingSpec": (lambda: RingSpec(4), ("n",)),
+    "PrimaryDecomposition": (lambda: primary_decomposition(_two_edges_ideal()), ("ideal", "components")),
+    "FiltrationChain": (lambda: dimension_filtration(_two_edges_ideal()), ("d", "ideals")),
+    "GroebnerBasis": (
+        lambda: reduced_groebner_basis([parse_polynomial(R3, "x1^2 - x2*x3"), parse_polynomial(R3, "x1*x2")]),
+        ("ring", "elements"),
+    ),
+    "GinResult": (lambda: gin(_two_edges_ideal()), ("ideal", "seed", "trials", "borel_certified")),
+    "LayerDecomposition": (lambda: layer_decomposition(_two_edges_ideal()), ("chain", "layer_h")),
+    "CriterionVerdict": (
+        lambda: scm_check(_two_edges_ideal()).criteria[0],
+        ("name", "holds", "witness_index", "detail"),
+    ),
+    "ScmReport": (
+        lambda: scm_check(_two_edges_ideal()),
+        ("scm", "seed", "bw_input", "bw_gin", "witness", "criteria"),
+    ),
+    "HrwResult": (
+        lambda: hrw_check(SimplicialComplex(4, [[1, 2], [3, 4]])),
+        ("equal", "residuals", "degenerate"),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS)
+def test_records_are_immutable_values(cls):
+    build, names = RECORDS[cls]
+    record, again = build(), build()
+    assert type(record).__name__ == cls
+    assert record is not again
+    assert record == again and hash(record) == hash(again)
+    fields = tuple(getattr(record, name) for name in names)
+    rebuilt = type(record)(*fields)
+    assert rebuilt == record and hash(rebuilt) == hash(fields)
+    assert copy.copy(record) == record
+    assert repr(record).startswith(f"{cls}({names[0]}=")
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], fields[0])
+    with pytest.raises(AttributeError):
+        delattr(record, names[0])
+    with pytest.raises(TypeError):
+        type(record)(*fields, None)
+    assert record != fields
+
+
+def test_records_keep_their_checks():
+    # a ring hashes as the one-field tuple, so sets of rings keep their order
+    assert hash(RingSpec(5)) == hash((5,))
+    assert RingSpec(3) != RingSpec(4) and RingSpec(3) != 3
+    assert pickle.loads(pickle.dumps(RingSpec(3))) == RingSpec(3)
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            RingSpec(bad)
+    zero, unit = MonomialIdeal.zero(R3), MonomialIdeal.unit(R3)
+    for d, ideals, message in (
+        (0, (zero, unit), "length"),
+        (0, (zero,), "unit ideal"),
+        (1, (zero, MonomialIdeal.unit(RingSpec(2))), "different rings"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FiltrationChain(d, ideals)
