@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import warnings
-from typing import Sequence
+from collections.abc import Sequence
 
 from .filtration import (
     NotSCM,
@@ -78,6 +78,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply") from exc
 
 
 def _load_input(path: str) -> MonomialIdeal | list[Polynomial] | SimplicialComplex:

@@ -9,8 +9,9 @@ variable with x_n in the top field.  A product is a sum, a quotient a
 difference, g divides m when m - g is non-negative with no field's top bit
 set, and within one degree (every polynomial here is homogeneous) the
 smallest key is the revlex-greatest, so the reduction heap holds plain ints.
-W fits the input degrees; a pair whose lcm degree does not fit reruns the
-whole computation with wider fields, so nothing wraps.  Over Q the
+W fits the input degrees; a pair whose lcm degree does not fit restarts the
+run with wider fields, from its first yield, so nothing wraps.  One driver
+(`_bases`) packs, moves and restarts for every caller.  Over Q the
 arithmetic is fraction-free: polynomials are primitive integer coefficient
 dicts, reduction is pseudo-reduction (scale by the divisor's leading
 coefficient when it is not 1, subtract, strip content at the end), and
@@ -41,13 +42,12 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .monomial import MonomialIdeal, hilbert_numerator, is_strongly_stable
 from .ring import (
-    HilbertSeries,
     Monomial,
     Polynomial,
     RingSpec,
@@ -71,7 +71,6 @@ __all__ = [
 # their boundary; either way the lead term comes first
 IntPoly = dict[int, int]
 MonoPoly = dict[Monomial, int]
-T = TypeVar("T")
 
 
 class NotCertified(RuntimeError):
@@ -85,7 +84,7 @@ class _Overflow(Exception):
 # -- engine helpers (packed monomial keys, integer coefficients) ---------------
 
 
-def _primitive(p: dict[T, int]) -> dict[T, int]:
+def _primitive(p: IntPoly | MonoPoly) -> IntPoly | MonoPoly:
     """Strip content and make the leading (first) coefficient positive."""
     if not p:
         return p
@@ -287,18 +286,30 @@ def _autoreduce(G: list[_Basis], packing: _Packing) -> list[IntPoly]:
     return out
 
 
-def _packed_run(
-    gens: list[MonoPoly], n: int, run: Callable[[_Packing, list[IntPoly]], T]
-) -> T:
-    """run(packing, gens on packed keys) in the narrowest packing that holds
-    the generators' degrees; rerun wider whenever a pair's lcm degree
-    overflows it, so no exponent ever wraps."""
+def _bases(
+    gens: list[MonoPoly], n: int, prime: int | None, matrix: list[list[int]] | None = None
+) -> Iterator[tuple[list[_Basis], _Packing]]:
+    """Each basis Buchberger yields over Q (prime None) or F_prime, with its
+    packing.  A matrix, invertible mod prime, first moves the generators.
+
+    The packing is the narrowest that holds the generators' degrees.  When a
+    pair's lcm degree overflows it, the run restarts wider from the first
+    yield, so no exponent ever wraps; every caller's stop reads the leads
+    alone, so a basis seen twice is judged the same way twice."""
     degree = max((m.degree for g in gens for m in g), default=0)
     while True:
         packing = _Packing(n, degree)
         packed = [{packing.pack(m.exponents): c for m, c in g.items()} for g in gens]
+        if matrix is not None:
+            moved = (
+                {m: c % prime for m, c in p.items() if c % prime}
+                for p in _substitute(packed, matrix, packing)
+            )
+            packed = [q for q in moved if q]
         try:
-            return run(packing, packed)
+            for G in _buchberger(packed, prime, packing):
+                yield G, packing
+            return
         except _Overflow as exc:
             degree = 2 * exc.args[0]
 
@@ -359,12 +370,8 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
     ring, polys = _check_inputs(gens)
     if not polys:
         return GroebnerBasis(ring, ())
-
-    def run(packing: _Packing, packed: list[IntPoly]) -> list[Polynomial]:
-        *_, raw = _buchberger(packed, None, packing)
-        return [_to_polynomial(ring, p, packing) for p in _autoreduce(raw, packing)]
-
-    elements = _packed_run([_to_int_poly(f) for f in polys], ring.n, run)
+    *_, (raw, packing) = _bases([_to_int_poly(f) for f in polys], ring.n, None)
+    elements = [_to_polynomial(ring, p, packing) for p in _autoreduce(raw, packing)]
     elements.sort(key=lambda f: f.leading_monomial(), reverse=True)
     return GroebnerBasis(ring, tuple(elements))
 
@@ -372,12 +379,8 @@ def reduced_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
 def _exact_leads(int_gens: list[MonoPoly], n: int) -> MonomialIdeal:
     """in(I) over Q for nonzero primitive integer generators: the leads of
     one exact Buchberger run, which generate it without autoreduction."""
-
-    def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal:
-        *_, G = _buchberger(packed, None, packing)
-        return _leads(G, packing)
-
-    return _packed_run(int_gens, n, run)
+    *_, (G, packing) = _bases(int_gens, n, None)
+    return _leads(G, packing)
 
 
 def initial_ideal(gens: Sequence[Polynomial]) -> MonomialIdeal:
@@ -458,15 +461,6 @@ def _leads(G: Sequence[_Basis], packing: _Packing) -> MonomialIdeal:
     return MonomialIdeal(RingSpec(packing.n), (Monomial(packing.unpack(g.lm)) for g in G))
 
 
-def _gin_target(gens: MonomialIdeal | list[MonoPoly], n: int) -> HilbertSeries:
-    """Hilbert series a round's first trial must reach: that of the input for
-    a monomial ideal, that of its initial ideal over Q for the primitive
-    integer generators of a polynomial system."""
-    return hilbert_numerator(
-        gens if isinstance(gens, MonomialIdeal) else _exact_leads(gens, n)
-    )
-
-
 def _gin_trial(
     int_gens: list[MonoPoly],
     matrix: list[list[int]],
@@ -476,20 +470,11 @@ def _gin_trial(
     """Leading ideal over F_prime of the generators moved by the matrix,
     which must be invertible mod prime: the leads of the first basis
     Buchberger yields that stop accepts, or None if it accepts none."""
-
-    def run(packing: _Packing, packed: list[IntPoly]) -> MonomialIdeal | None:
-        moved = []
-        for p in _substitute(packed, matrix, packing):
-            q = {m: c % prime for m, c in p.items() if c % prime}
-            if q:
-                moved.append(q)
-        for G in _buchberger(moved, prime, packing):
-            leads = _leads(G, packing)
-            if stop(leads):
-                return leads
-        return None
-
-    return _packed_run(int_gens, len(matrix), run)
+    for G, packing in _bases(int_gens, len(matrix), prime, matrix):
+        leads = _leads(G, packing)
+        if stop(leads):
+            return leads
+    return None
 
 
 def gin(
@@ -512,7 +497,10 @@ def gin(
         int_gens = [_to_int_poly(f) for f in polys]
     if not int_gens:
         return GinResult(MonomialIdeal.zero(ring), seed, 0, True)
-    target = _gin_target(gens if isinstance(gens, MonomialIdeal) else int_gens, ring.n)
+    # the Hilbert series of the input, or over Q of its initial ideal
+    target = hilbert_numerator(
+        gens if isinstance(gens, MonomialIdeal) else _exact_leads(int_gens, ring.n)
+    )
     rng = random.Random(seed)
     bound = 10**4
     for r in range(5):

@@ -18,9 +18,9 @@ chain comes from saturating by x_n, x_{n-1}, ... until <1>, with no transversals
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from math import comb
 from operator import le
-from typing import Iterable, Mapping, Sequence
 
 from .ring import (
     Exps, HilbertSeries, Monomial, RingSpec, UniPoly, _Record, _SparseTable, _variable_position,
@@ -315,50 +315,56 @@ def primary_decomposition(ideal: MonomialIdeal) -> PrimaryDecomposition:
 # -- Hilbert series -----------------------------------------------------------
 
 
-def _hilbert_numerator_rec(gens: Sequence[Exps]) -> UniPoly:
-    n_vars = len(gens[0]) if gens else 0
-    # count how many generators each variable appears in
-    best_v, best_count = -1, 0
-    if gens:
+def _pivot_numerator(gens: list[Exps]) -> UniPoly:
+    """K(t) for the minimal generators of a proper ideal, worked off a list
+    of (generators, t-shift) pairs; each leaf's K is added at its shift."""
+    total: list[int] = []
+    work = [(gens, 0)]
+    while work:
+        gens, shift = work.pop()
+        n_vars = len(gens[0]) if gens else 0
+        # count how many generators each variable appears in
         counts = [0] * n_vars
         for e in gens:
             for v, x in enumerate(e):
                 if x:
                     counts[v] += 1
-        best_count = max(counts)
-        best_v = counts.index(best_count)
-    if best_count <= 1:
-        # supports pairwise disjoint: K = prod (1 - t^deg)
-        coeffs = [1]
-        for e in gens:
-            k = sum(e)
-            times = coeffs + [0] * k
-            for i, c in enumerate(coeffs):
-                times[i + k] -= c
-            coeffs = times
-        return UniPoly(coeffs)
-    else:
-        # pivot on the most shared variable: K(I) = K(I + <x>) + t * K(I : x)
-        plus: list[Exps] = [tuple(1 if v == best_v else 0 for v in range(n_vars))]
-        plus.extend(e for e in gens if e[best_v] == 0)
-        colon = [
-            tuple(x - 1 if v == best_v and x else x for v, x in enumerate(e))
-            for e in gens
-        ]
-        left = _hilbert_numerator_rec(_minimalize(plus))
-        right = _hilbert_numerator_rec(_minimalize(colon))
-        return left + right.shift(1)
+        best_count = max(counts, default=0)
+        if best_count <= 1:
+            # supports pairwise disjoint: K = prod (1 - t^deg)
+            coeffs = [1]
+            for e in gens:
+                k = sum(e)
+                times = coeffs + [0] * k
+                for i, c in enumerate(coeffs):
+                    times[i + k] -= c
+                coeffs = times
+            total.extend([0] * (shift + len(coeffs) - len(total)))
+            for i, c in enumerate(coeffs, shift):
+                total[i] += c
+        else:
+            # pivot on the most shared variable: K(I) = K(I + <x>) + t * K(I : x)
+            best_v = counts.index(best_count)
+            plus: list[Exps] = [tuple(1 if v == best_v else 0 for v in range(n_vars))]
+            plus.extend(e for e in gens if e[best_v] == 0)
+            colon = [
+                tuple(x - 1 if v == best_v and x else x for v, x in enumerate(e))
+                for e in gens
+            ]
+            work.append((_minimalize(colon), shift + 1))
+            work.append((_minimalize(plus), shift))
+    return UniPoly(total)
 
 
 def hilbert_numerator(ideal: MonomialIdeal) -> HilbertSeries:
-    """Hilb(R/I) presented as K(t) / (1-t)^n via pivot recursion, computed
-    once per ideal and kept on it; R/<1> = 0 never reaches the recursion."""
+    """Hilb(R/I) presented as K(t) / (1-t)^n by the pivot rule, computed
+    once per ideal and kept on it; R/<1> = 0 never reaches the pivots."""
     if ideal._numerator is None:
         if ideal.is_unit:
             series = HilbertSeries(UniPoly.zero(), 0)
         else:
             gens = [g.exponents for g in ideal.gens]
-            series = HilbertSeries(_hilbert_numerator_rec(gens), ideal.ring.n)
+            series = HilbertSeries(_pivot_numerator(gens), ideal.ring.n)
         object.__setattr__(ideal, "_numerator", series)
     return ideal._numerator
 

@@ -22,12 +22,11 @@ of the exponent difference is negative. All coefficient arithmetic is exact
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, TypeVar
 
 Exps = tuple[int, ...]
-C = TypeVar("C", int, Fraction)
 
 
 def require_int(x, what: str = "value") -> int:
@@ -581,9 +580,11 @@ class _Packing:
         return a & mask | b & ~mask
 
 
-def _poly_mul(a: Mapping[int, C], b: Mapping[int, C]) -> dict[int, C]:
+def _poly_mul(
+    a: Mapping[int, int | Fraction], b: Mapping[int, int | Fraction]
+) -> dict[int, int | Fraction]:
     """Product of two polynomials on packed keys."""
-    out: dict[int, C] = {}
+    out: dict[int, int | Fraction] = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             key = m1 + m2
@@ -596,10 +597,10 @@ def _poly_mul(a: Mapping[int, C], b: Mapping[int, C]) -> dict[int, C]:
 
 
 def _substitute(
-    polys: Sequence[Mapping[int, C]],
-    matrix: Sequence[Sequence[C]],
+    polys: Sequence[Mapping[int, int | Fraction]],
+    matrix: Sequence[Sequence[int | Fraction]],
     packing: _Packing,
-) -> list[dict[int, C]]:
+) -> list[dict[int, int | Fraction]]:
     """Substitute xi -> sum_j matrix[i][j] * xj in each polynomial on packed
     keys with int or Fraction coefficients; integer input stays integral.
     Degrees are kept, so the output fits the packing the input fits."""
@@ -607,9 +608,9 @@ def _substitute(
     w, field = packing.width, packing.field
     images = [{1 << (w * j): c for j, c in enumerate(row) if c} for row in matrix]
     # cache linear-form powers; generators reuse the same images repeatedly
-    powers: list[dict[int, dict[int, C]]] = [{0: {0: 1}} for _ in range(n)]
+    powers: list[dict[int, dict[int, int | Fraction]]] = [{0: {0: 1}} for _ in range(n)]
 
-    def power(i: int, e: int) -> dict[int, C]:
+    def power(i: int, e: int) -> dict[int, int | Fraction]:
         cache = powers[i]
         if e not in cache:
             best = max(k for k in cache if k <= e)
@@ -621,7 +622,7 @@ def _substitute(
 
     out = []
     for p in polys:
-        result: dict[int, C] = {}
+        result: dict[int, int | Fraction] = {}
         for m, c in p.items():
             piece = {0: c}
             for i in range(n):

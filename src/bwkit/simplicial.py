@@ -16,8 +16,8 @@ rows integral over Q (so the rank is exact) and runs mod p over F_p.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _minimal_transversals

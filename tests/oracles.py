@@ -6,8 +6,9 @@ vertex subsets for the Krull dimension and the Stanley-Reisner bridge, the
 irreducible decomposition by recursive splitting of generators, the
 dimension filtration by intersecting those components one at a time,
 strong stability by every exchange x_j -> x_i (i < j), not only the adjacent
-ones, and Hochster's formulas by dense boundary matrices over every vertex
-subset and every face link.
+ones, Hochster's formulas by dense boundary matrices over every vertex
+subset and every face link, and the initial ideal of a gin trial by
+elimination degree by degree, with no Buchberger.
 
 Everything here is deliberately naive and separate from the library's
 algorithms; only container types are shared.  One exception: the reference
@@ -123,6 +124,62 @@ def poly_quotient_dims(ring: RingSpec, gens: list[Polynomial], upto: int) -> lis
                 rows.append(row)
         dims.append(len(basis) - fraction_rank(rows))
     return dims
+
+
+def echelon_initial_ideal(ideal: MonomialIdeal, matrix: list[list[int]], prime: int) -> MonomialIdeal:
+    """in(g I) over F_prime in revlex, for g: x_i -> sum_j matrix[i][j] x_j
+    invertible mod prime, by elimination degree by degree (Macaulay; Lazard).
+
+    In degree d every monomial m of I_d gives the row g m mod prime over the
+    degree-d monomials, columns revlex-descending; the pivot columns of the
+    echelon form are the monomials of in(g I)_d.  As g is invertible, in(g I)
+    has the Hilbert series of I, so the degrees stop at the first d where
+    the pivots so far reach it: the top generator degree of in(g I)."""
+    n = ideal.ring.n
+    target = hilbert_numerator(ideal)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    forms = [{units[j]: c % prime for j, c in enumerate(row) if c % prime} for row in matrix]
+    images = {(0,) * n: {(0,) * n: 1}}
+
+    def image(e: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """g m mod prime = g(m / x_i) g(x_i), i the first variable of m."""
+        if e not in images:
+            i = next(k for k, x in enumerate(e) if x)
+            out: dict[tuple[int, ...], int] = {}
+            for a, c in image(tuple(x - (k == i) for k, x in enumerate(e))).items():
+                for b, f in forms[i].items():
+                    key = tuple(x + y for x, y in zip(a, b))
+                    out[key] = (out.get(key, 0) + c * f) % prime
+            images[e] = out
+        return images[e]
+
+    leads: list[tuple[int, ...]] = []
+    for d in itertools.count():
+        # revlex-descending: the last differing exponent is smaller first
+        cols = sorted(monomials_of_degree(n, d), key=lambda e: e[::-1])
+        index = {e: k for k, e in enumerate(cols)}
+        pivots: dict[int, dict[int, int]] = {}
+        for e in cols:
+            if not ideal.contains(Monomial(e)):
+                continue
+            row = {index[a]: c for a, c in image(e).items() if c}
+            while row:
+                k = min(row)
+                if k not in pivots:
+                    inv = pow(row[k], -1, prime)
+                    pivots[k] = {j: c * inv % prime for j, c in row.items()}
+                    break
+                c = row[k]
+                for j, v in pivots[k].items():
+                    w = (row.get(j, 0) - c * v) % prime
+                    if w:
+                        row[j] = w
+                    else:
+                        row.pop(j, None)
+        leads.extend(cols[k] for k in pivots)
+        found = MonomialIdeal(ideal.ring, map(Monomial, leads))
+        if hilbert_numerator(found) == target:
+            return found
 
 
 def koszul_betti_table(ideal: MonomialIdeal, max_j: int) -> dict[tuple[int, int], int]:

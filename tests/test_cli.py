@@ -509,6 +509,23 @@ def test_missing_file_and_bad_json(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["hilbert", "--input", str(nested)]) == 2
+    assert capsys.readouterr().err == f"error: {nested} is nested too deeply\n"
+
+
+@pytest.mark.parametrize("verb", ["hilbert", "bw", "gin", "scm", "local-cohomology"])
+def test_deep_exponents_are_answered(capsys, tmp_path, verb):
+    """(x1^2000, x1^1000 x2): the Hilbert pivots take 1000 steps."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"vars": 2, "gens": [[2000, 0], [1000, 1]]}))
+    data = run_json(capsys, [verb, "--input", str(path)])
+    if verb == "gin":
+        assert data["gens"] == [[1000, 1000], [1001, 0]]
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
@@ -582,9 +599,9 @@ def test_bw_of_the_unit_ideal_warns_in_one_line(tmp_path):
     assert proc.stderr == "warning: layer polynomial of the zero algebra is 0\n"
 
 
-def test_cli_import_loads_no_dataclasses():
-    """Every CLI call pays for its imports; dataclasses drags in inspect, ast,
-    dis and tokenize.  -S keeps site hooks from loading them on their own."""
+def _modules_after_cli_import() -> set[str]:
+    """sys.modules of a fresh `python -S` after `import bwkit.cli`; -S keeps
+    site hooks from loading modules on their own."""
     probe = "import sys; sys.path.insert(0, sys.argv[1]); import bwkit.cli; print(*sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe, _SRC], capture_output=True, text=True, timeout=120
@@ -592,7 +609,19 @@ def test_cli_import_loads_no_dataclasses():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "bwkit.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    return loaded
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Every CLI call pays for its imports; dataclasses drags in inspect, ast,
+    dis and tokenize."""
+    assert not _modules_after_cli_import() & {"dataclasses", "inspect"}
+
+
+def test_cli_import_loads_no_typing():
+    """Annotations are postponed and the generic types come from
+    collections.abc, so no bwkit module needs typing at run time."""
+    assert "typing" not in _modules_after_cli_import()
 
 
 @pytest.mark.skipif(

@@ -272,21 +272,16 @@ def test_inflated_stanley_reisner_ideals_keep_their_verdict(corpus5, scm_flags5)
 
 
 def _record_computations(monkeypatch) -> list:
-    """Record the generators of every numerator computation: a top-level
-    entry into monomial._hilbert_numerator_rec, which re-enters itself."""
-    computed, depth = [], [0]
-    real_rec = monomial._hilbert_numerator_rec
+    """Record the generators of every numerator computation: one call of
+    monomial._pivot_numerator each."""
+    computed = []
+    real = monomial._pivot_numerator
 
-    def counted_rec(gens):
-        if not depth[0]:
-            computed.append(tuple(sorted(gens)))
-        depth[0] += 1
-        try:
-            return real_rec(gens)
-        finally:
-            depth[0] -= 1
+    def counted(gens):
+        computed.append(tuple(sorted(gens)))
+        return real(gens)
 
-    monkeypatch.setattr(monomial, "_hilbert_numerator_rec", counted_rec)
+    monkeypatch.setattr(monomial, "_pivot_numerator", counted)
     return computed
 
 

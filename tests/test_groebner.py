@@ -37,7 +37,7 @@ from bwkit import (
 from bwkit import groebner
 from bwkit.ring import _sparse_rank
 from corpus import borel_closure, random_homogeneous_polys, random_monomial_ideal, random_stable_ideal
-from oracles import poly_quotient_dims, standard_monomial_counts
+from oracles import echelon_initial_ideal, poly_quotient_dims, standard_monomial_counts
 
 R2 = RingSpec(2)
 R3 = RingSpec(3)
@@ -382,6 +382,33 @@ def test_triangular_and_dense_trials_agree():
         assert groebner._gin_trial(int_gens, triangular, prime, stop) == leads
 
 
+def test_round_zero_trials_match_the_echelon_oracle():
+    """Both trials of gin's first round give in(g I) as elimination degree by
+    degree gives it, with no Buchberger, on the worked ideal and on seeded
+    Stanley-Reisner ideals on 6-10 vertices (gin tops out at degree 2-4)."""
+    rng = random.Random(1)
+    inputs = [worked_example_ideal()]
+    for n in (6, 7, 8, 9, 10):
+        faces = [
+            rng.sample(range(1, n + 1), rng.randint(3, n - 3))
+            for _ in range(rng.randint(3, 6))
+        ]
+        inputs.append(stanley_reisner_ideal(SimplicialComplex(n, faces)))
+    for seed, ideal in enumerate(inputs):
+        # gin's stream: round 0 draws both matrices first
+        stream = random.Random(seed)
+        matrices = [groebner._draw_matrix(stream, ideal.ring.n, 10**4) for _ in range(2)]
+        int_gens = [{g: 1} for g in ideal.sorted_gens()]
+        stop = _reaches(hilbert_numerator(ideal))
+        found = []
+        for matrix, prime in zip(matrices, groebner._PRIMES):
+            trial = groebner._gin_trial(int_gens, matrix, prime, stop)
+            assert trial == echelon_initial_ideal(ideal, matrix, prime), (seed, prime)
+            found.append(trial)
+        result = gin(ideal, seed=seed)
+        assert result.trials == 2 and found == [result.ideal] * 2
+
+
 def _monomial_outside(ideal):
     """A monomial outside a proper ideal, of the largest degree up to the
     ideal's top generator degree that has one."""
@@ -434,6 +461,40 @@ def test_draw_matrix_is_unit_lower_triangular():
                 assert row[:i] == [rng.randint(-bound, bound) for _ in range(i)]
 
 
+def test_trial_restarts_wider_from_its_first_basis(monkeypatch):
+    """An overflow after a yield restarts the trial in a wider packing from
+    its first basis, which the stop judges again by its leads alone."""
+    real = groebner._buchberger
+    widths = []
+
+    def overflow_once(inputs, prime, packing):
+        widths.append(packing.width)
+        run = real(inputs, prime, packing)
+        if len(widths) == 1:
+            yield next(run)
+            raise groebner._Overflow(packing.limit)
+        yield from run
+
+    gens = [poly(R3, "x1^2 + x2*x3"), poly(R3, "x1*x2 - x3^2")]
+    int_gens = [groebner._to_int_poly(f) for f in gens]
+    matrix = groebner._draw_matrix(random.Random(0), 3, 10**4)
+    target = hilbert_numerator(initial_ideal(gens))
+    seen = []
+
+    def stop(leads):
+        seen.append(leads)
+        return hilbert_numerator(leads) == target
+
+    expected = groebner._gin_trial(int_gens, matrix, groebner._PRIMES[0], stop)
+    assert len(seen) == 2
+    seen.clear()
+    monkeypatch.setattr(groebner, "_buchberger", overflow_once)
+    assert groebner._gin_trial(int_gens, matrix, groebner._PRIMES[0], stop) == expected
+    assert widths[1] > widths[0]
+    # the first basis twice, the wider run's second basis last
+    assert seen[0] == seen[1] != seen[2] == expected and len(seen) == 3
+
+
 def test_modular_trial_that_misses_its_target_fails():
     """A trial whose bases never reach the target Hilbert series fails,
     though the same trial stops on the gin when the target is right."""
@@ -459,7 +520,11 @@ def test_gin_wrong_hilbert_target_does_not_certify(monkeypatch, wrong):
         extra = Monomial((0, 0, 0, 3, 0, 0))
         bigger = MonomialIdeal(ideal.ring, list(worked_example_gin().gens) + [extra])
         target = hilbert_numerator(bigger)
-    monkeypatch.setattr(groebner, "_gin_target", lambda *args: target)
+    # only the input's series is wrong: the trials' stops numerate their leads
+    real = groebner.hilbert_numerator
+    monkeypatch.setattr(
+        groebner, "hilbert_numerator", lambda q: target if q is ideal else real(q)
+    )
     with pytest.raises(NotCertified):
         gin(ideal, seed=0)
 

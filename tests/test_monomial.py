@@ -295,6 +295,15 @@ def test_hilbert_goldens():
     assert k == HilbertSeries(UniPoly((1, 3, 0, -1)) * UniPoly.one_minus_t_power(3), 6)
 
 
+def test_hilbert_numerator_of_a_deep_exponent():
+    """The pivot rule takes one step per unit of exponent; an exponent of
+    2000 must not need 2000 stack frames."""
+    series = hilbert_numerator(ideal(R2, (2000, 0), (1000, 1)))
+    coeffs = [0] * 2002
+    coeffs[0], coeffs[1001], coeffs[2000], coeffs[2001] = 1, -1, -1, 1
+    assert series == HilbertSeries(UniPoly(coeffs), 2)
+
+
 def test_hilbert_matches_standard_monomial_counts():
     rng = random.Random(31)
     for _ in range(20):
