@@ -208,7 +208,7 @@ def local_cohomology_scm(ideal: MonomialIdeal, seed: int = 0) -> LocalCohomology
         raise NotSCM("layer formula needs a sequentially Cohen-Macaulay algebra")
     entries: dict[tuple[int, int], int] = {}
     for i, h in report.bw_input.rows().items():
-        for k, a in enumerate(h.taylor_at_one().coeffs):
+        for k, a in enumerate(h.translate(1).coeffs):
             if a:
                 entries[(i, i - k)] = a
     return LocalCohomologyTable(entries)

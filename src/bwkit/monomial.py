@@ -62,6 +62,8 @@ class MonomialIdeal:
     def __setattr__(self, *_):
         raise AttributeError("MonomialIdeal is immutable")
 
+    __delattr__ = __setattr__
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -356,14 +358,21 @@ def _pivot_numerator(gens: list[Exps]) -> UniPoly:
     return UniPoly(total)
 
 
+_NUMERATOR_LIMIT = 1 << 16  # coefficients of one dense Hilbert numerator
+
+
 def hilbert_numerator(ideal: MonomialIdeal) -> HilbertSeries:
     """Hilb(R/I) presented as K(t) / (1-t)^n by the pivot rule, computed
-    once per ideal and kept on it; R/<1> = 0 never reaches the pivots."""
+    once per ideal and kept on it; R/<1> = 0 never reaches the pivots, and
+    a K longer than _NUMERATOR_LIMIT is refused before any list is built."""
     if ideal._numerator is None:
         if ideal.is_unit:
             series = HilbertSeries(UniPoly.zero(), 0)
         else:
             gens = [g.exponents for g in ideal.gens]
+            length = sum(map(max, zip(*gens))) + 1  # deg K <= deg lcm(gens), pivot leaves too
+            if length > _NUMERATOR_LIMIT:
+                raise ValueError(f"Hilbert numerator of {length} terms refused (more than {_NUMERATOR_LIMIT})")
             series = HilbertSeries(_pivot_numerator(gens), ideal.ring.n)
         object.__setattr__(ideal, "_numerator", series)
     return ideal._numerator

@@ -2,7 +2,8 @@
 the packed monomial keys of the Groebner engines, the one exact sparse rank
 (over Q or F_p), the change-of-coordinates kernel, and the univariate
 machinery (Hilbert series, bivariate layer polynomials) everything else sits
-on.
+on.  Its univariate basis changes have one owner each: UniPoly.divexact_one_minus_t
+divides by (1-t)^k, and UniPoly.translate moves to powers of t - a and back.
 
 Two owners of output formats live here as well.  _SparseTable is the base of
 every result table (the layer polynomial, the f- and h-triangles, Betti and
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 Exps = tuple[int, ...]
@@ -148,6 +150,8 @@ class Monomial:
 
     def __setattr__(self, *_):
         raise AttributeError("Monomial is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def degree(self) -> int:
@@ -282,6 +286,8 @@ class Polynomial:
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors ------------------------------------------------------
 
@@ -662,7 +668,9 @@ def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]
 
 
 class UniPoly:
-    """Univariate polynomial in t with integer coefficients."""
+    """Univariate polynomial in t with integer coefficients.  Its two basis
+    changes are divexact_one_minus_t, by (1-t)^k (layer rows, canonical
+    series), and translate, p(t + a) (a = 1, -1: to powers of t - 1 and back)."""
 
     __slots__ = ("coeffs",)
 
@@ -676,6 +684,8 @@ class UniPoly:
 
     def __setattr__(self, *_):
         raise AttributeError("UniPoly is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -739,12 +749,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by t^k."""
-        if self.is_zero:
-            return self
-        return UniPoly((0,) * k + self.coeffs)
-
     def evaluate(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -752,23 +756,27 @@ class UniPoly:
         return acc
 
     def divexact_one_minus_t(self, k: int = 1) -> "UniPoly":
-        """Divide by (1-t)^k; raises if the division is not exact."""
-        cur = self
-        for _ in range(k):
-            cur = _divide_one_minus_t(cur)
-        return cur
+        """Divide by (1-t)^k; raises if the division is not exact.
 
-    def taylor_at_one(self) -> "UniPoly":
-        """Coefficients of p(1+s) as a polynomial in s (binomial transform)."""
-        out = [0] * len(self.coeffs)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                # (1+s)^j
-                b = 1
-                for k in range(j + 1):
-                    out[k] += c * b
-                    b = b * (j - k) // (k + 1)
-        return UniPoly(out)
+        Dividing by 1 - t takes partial sums, so k sweeps over one list give
+        p/(1-t)^k as a series up to degree deg p; the quotient is exact
+        exactly when the top k entries vanish."""
+        if self.is_zero:
+            return self
+        c = _partial_sums(self.coeffs, k)
+        cut = len(c) - k
+        if cut <= 0 or any(c[cut:]):
+            raise ValueError("division by (1-t) is not exact")
+        return UniPoly(c[:cut])
+
+    def translate(self, a: int) -> "UniPoly":
+        """p(t + a), the Taylor shift by Horner's rule: pass i leaves the
+        i-th Taylor coefficient of p at a in place i."""
+        c = list(self.coeffs)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += a * c[j + 1]
+        return UniPoly(c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -783,28 +791,20 @@ class UniPoly:
         return f"UniPoly({self})"
 
 
-def _divide_one_minus_t(p: UniPoly) -> UniPoly:
-    """Exact quotient p / (1-t); raises ValueError when p(1) != 0."""
-    c = list(p.coeffs)
-    if not c:
-        return p
-    # long division from the top: (1 - t) * q = p
-    q = [0] * (len(c) - 1)
-    rem = list(c)
-    for j in range(len(c) - 1, 0, -1):
-        q[j - 1] = -rem[j]
-        rem[j] = 0
-        rem[j - 1] -= q[j - 1]
-    if rem[0] != 0:
-        raise ValueError("division by (1-t) is not exact")
-    return UniPoly(q)
+def _partial_sums(c: Iterable[int], k: int) -> list[int]:
+    """k sweeps of partial sums: c/(1-t)^k as a series, in degrees < len(c)."""
+    c = list(c)
+    for _ in range(k):
+        c = list(accumulate(c))
+    return c
 
 
 class HilbertSeries:
     """Rational series numerator / (1-t)^denom_power with integer numerator.
 
     Equality is by value (cross-multiplied numerators), so a series may be held
-    in any equivalent presentation; canonical() strips all (1-t) factors.
+    in any equivalent presentation; canonical() strips all (1-t) factors with
+    UniPoly.divexact_one_minus_t, and expand() takes the same partial sums.
     """
 
     __slots__ = ("numerator", "denom_power")
@@ -818,29 +818,18 @@ class HilbertSeries:
     def __setattr__(self, *_):
         raise AttributeError("HilbertSeries is immutable")
 
+    __delattr__ = __setattr__
+
     def canonical(self) -> "HilbertSeries":
         num, k = self.numerator, self.denom_power
         while k > 0 and not num.is_zero and num.evaluate(1) == 0:
-            num = _divide_one_minus_t(num)
+            num = num.divexact_one_minus_t()
             k -= 1
         return HilbertSeries(num, k)
 
     def expand(self, upto: int) -> list[int]:
         """Series coefficients in degrees 0..upto."""
-        out = [0] * (upto + 1)
-        num = self.numerator
-        if self.denom_power == 0:
-            for j in range(upto + 1):
-                out[j] = num.coeff(j)
-            return out
-        # repeatedly take partial sums: 1/(1-t)^k
-        cur = [num.coeff(j) for j in range(upto + 1)]
-        for _ in range(self.denom_power):
-            acc = 0
-            for j in range(upto + 1):
-                acc += cur[j]
-                cur[j] = acc
-        return cur
+        return _partial_sums(map(self.numerator.coeff, range(upto + 1)), self.denom_power)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HilbertSeries):
@@ -955,6 +944,8 @@ class _SparseTable:
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def value(self, a: int, b: int) -> int:
         return self.entries.get((a, b), 0)

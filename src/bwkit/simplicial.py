@@ -73,6 +73,8 @@ class SimplicialComplex:
     def __setattr__(self, *_):
         raise AttributeError("SimplicialComplex is immutable")
 
+    __delattr__ = __setattr__
+
     @property
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
@@ -412,14 +414,14 @@ class LocalCohomologyTable(_SparseTable):
 
     def numerator(self, i: int) -> UniPoly:
         """Numerator of Hilb(H^i_m) over (t-1)^i (valid when all c >= 0)."""
-        out = UniPoly.zero()
+        coeffs = [0] * (i + 1)  # in powers of t - 1
         for (k, c), v in self.entries.items():
             if k != i:
                 continue
             if c < 0:
                 raise ValueError("series has a polynomial part; no single (t-1)^i form")
-            out = out + UniPoly.one_minus_t_power(i - c) * ((-1) ** (i - c) * v)
-        return out
+            coeffs[i - c] = v
+        return UniPoly(coeffs).translate(-1)
 
     def __str__(self) -> str:
         lines = []
@@ -578,11 +580,7 @@ def hrw_check(cpx: SimplicialComplex, p: int | None = None) -> HrwResult:
     residuals = []
     ok = True
     for i in range(ht.d + 1):
-        lhs = UniPoly.zero()
-        for c in range(i + 1):
-            b = betti.beta(i - c + 1, cpx.n - c)
-            if b:
-                lhs = lhs + UniPoly.one_minus_t_power(i - c) * ((-1) ** (i - c) * b)
+        lhs = UniPoly(betti.beta(i - c + 1, cpx.n - c) for c in range(i, -1, -1)).translate(-1)
         res = lhs - ht.row(i)
         residuals.append((i, res))
         if not res.is_zero:

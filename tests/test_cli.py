@@ -526,6 +526,16 @@ def test_deep_exponents_are_answered(capsys, tmp_path, verb):
         assert data["gens"] == [[1000, 1000], [1001, 0]]
 
 
+@pytest.mark.parametrize("verb", ["hilbert", "bw", "gin", "scm", "local-cohomology"])
+def test_huge_exponents_are_refused(capsys, tmp_path, verb):
+    """x1^(10^30): the dense Hilbert numerator is refused before it is built."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vars": 1, "gens": [[10**30]]}))
+    assert main([verb, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Hilbert numerator of ") and "refused" in err
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -115,6 +115,8 @@ def test_bw_golden_worked_pair():
 
 def test_bw_trivial_inputs():
     assert bw_polynomial(MonomialIdeal.zero(R3)) == BWPolynomial({(3, 0): 1})
+    # every level divides the zero polynomial by (1-t)^k, which takes no sweeps
+    assert bw_polynomial(MonomialIdeal.zero(RingSpec(4000))) == BWPolynomial({(4000, 0): 1})
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         out = bw_polynomial(MonomialIdeal.unit(R3))

@@ -304,6 +304,22 @@ def test_hilbert_numerator_of_a_deep_exponent():
     assert series == HilbertSeries(UniPoly(coeffs), 2)
 
 
+def test_hilbert_numerator_fits_the_lcm_degree():
+    rng = random.Random(14)
+    for _ in range(60):
+        i = random_monomial_ideal(rng, max_vars=5, max_degree=5, max_gens=6)
+        lcm_degree = sum(map(max, zip(*(g.exponents for g in i.gens))))
+        assert len(hilbert_numerator(i).numerator.coeffs) <= lcm_degree + 1
+
+
+def test_hilbert_numerator_refuses_a_huge_exponent():
+    limit = monomial._NUMERATOR_LIMIT
+    assert hilbert_numerator(ideal(R2, (limit - 1, 0))).numerator.degree == limit - 1
+    for e in (limit, 10**30):
+        with pytest.raises(ValueError, match="refused"):
+            hilbert_numerator(ideal(R2, (e, 0), (0, 1)))
+
+
 def test_hilbert_matches_standard_monomial_counts():
     rng = random.Random(31)
     for _ in range(20):

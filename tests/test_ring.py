@@ -22,6 +22,7 @@ from bwkit import (
     apply_linear_change,
     dimension_filtration,
     gin,
+    h_triangle,
     hrw_check,
     layer_decomposition,
     parse_polynomial,
@@ -297,7 +298,6 @@ def test_unipoly_basics():
     assert UniPoly((0, 0)).is_zero and UniPoly(()).degree is None
     assert p.evaluate(1) == 3
     assert UniPoly.t_power(2) * UniPoly((1, 1)) == UniPoly((0, 0, 1, 1))
-    assert p.shift(2) == UniPoly((0, 0, 1, 3, 0, -1))
 
 
 @settings(deadline=None)
@@ -311,13 +311,23 @@ def test_divexact_inverts_multiplication(coeffs, k):
 def test_divexact_rejects_inexact():
     with pytest.raises(ValueError):
         UniPoly((1, 1)).divexact_one_minus_t()
+    # 1 - t has one factor 1 - t, not two
+    with pytest.raises(ValueError):
+        UniPoly.one_minus_t_power(1).divexact_one_minus_t(2)
+    with pytest.raises(ValueError):
+        UniPoly((0, 1)).divexact_one_minus_t(3)
+
+
+def test_divexact_of_zero_is_zero_at_once():
+    assert UniPoly.zero().divexact_one_minus_t(10**9).is_zero
 
 
 @settings(deadline=None)
-@given(st.lists(st.integers(-9, 9), max_size=7), st.integers(-3, 3))
-def test_taylor_at_one_agrees_pointwise(coeffs, x):
+@given(st.lists(st.integers(-9, 9), max_size=7), st.sampled_from((1, -1)), st.integers(-3, 3))
+def test_translate_agrees_pointwise(coeffs, a, x):
     p = UniPoly(coeffs)
-    assert p.taylor_at_one().evaluate(x - 1) == p.evaluate(x)
+    assert p.translate(a).evaluate(x) == p.evaluate(x + a)
+    assert p.translate(1).translate(-1) == p
 
 
 # -- Hilbert series ----------------------------------------------------------------
@@ -423,6 +433,35 @@ def test_records_are_immutable_values(cls):
     with pytest.raises(TypeError):
         type(record)(*fields, None)
     assert record != fields
+
+
+# each value type, built twice from scratch; _SparseTable stands for every table
+VALUES = {
+    "Monomial": lambda: mono(1, 0, 2),
+    "Polynomial": lambda: parse_polynomial(R3, "x1^2 - x2*x3"),
+    "UniPoly": lambda: UniPoly((1, 3, 0, -1)),
+    "HilbertSeries": lambda: HilbertSeries(UniPoly((1, 3, 0, -1)), 3),
+    "MonomialIdeal": _two_edges_ideal,
+    "SimplicialComplex": lambda: SimplicialComplex(4, [[1, 2], [3, 4]]),
+    "BWPolynomial": lambda: BWPolynomial({(2, 1): 1, (3, 0): 1}),
+    "HTriangle": lambda: h_triangle(SimplicialComplex(4, [[1, 2], [3, 4]])),
+}
+
+
+def _slots(value) -> list[str]:
+    return [name for klass in type(value).__mro__ for name in getattr(klass, "__slots__", ())]
+
+
+@pytest.mark.parametrize("cls", VALUES)
+def test_value_fields_cannot_be_deleted(cls):
+    value, again = VALUES[cls](), VALUES[cls]()
+    names = _slots(value)
+    assert type(value).__name__ == cls and names
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        getattr(value, name)
+    assert value == again and hash(value) == hash(again)
 
 
 def test_records_keep_their_checks():
