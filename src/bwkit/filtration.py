@@ -19,6 +19,10 @@ from .monomial import (
 from .ring import BWPolynomial, UniPoly, _Record
 from .simplicial import LocalCohomologyTable, SimplicialComplex, h_triangle
 
+# coefficients of one layer row re-expanded in powers of (t-1): the shift takes
+# quadratic time, and its answer quadratic bytes, in the row's length
+_LAYER_ROW_LIMIT = 1 << 12
+
 
 class NotSCM(ValueError):
     """The algebra is not sequentially Cohen-Macaulay."""
@@ -200,14 +204,19 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
 
 def local_cohomology_scm(ideal: MonomialIdeal, seed: int = 0) -> LocalCohomologyTable:
     """Hilb(H^i_m) = h(U_i;t)/(t-1)^i for sequentially Cohen-Macaulay input:
-    each layer h-polynomial re-expanded in powers of (t-1)."""
+    each layer h-polynomial re-expanded in powers of (t-1).  A layer row of
+    more than _LAYER_ROW_LIMIT coefficients is refused with ValueError."""
     if not ideal.is_proper:
         raise ValueError("local cohomology wants a proper ideal")
     report = scm_check(ideal, seed=seed, full_battery=False)
     if not report.scm:
         raise NotSCM("layer formula needs a sequentially Cohen-Macaulay algebra")
+    rows = report.bw_input.rows()
+    longest = max(len(h.coeffs) for h in rows.values())
+    if longest > _LAYER_ROW_LIMIT:
+        raise ValueError(f"layer row of {longest} coefficients refused (more than {_LAYER_ROW_LIMIT})")
     entries: dict[tuple[int, int], int] = {}
-    for i, h in report.bw_input.rows().items():
+    for i, h in rows.items():
         for k, a in enumerate(h.translate(1).coeffs):
             if a:
                 entries[(i, i - k)] = a

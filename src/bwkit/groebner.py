@@ -4,14 +4,16 @@ ideals, and certified generic initial ideals.
 One pair loop (`_buchberger`: pairs by ascending lcm degree, coprime-lead and
 chain criteria) and one full reduction (`_reduce`) run over Q or over F_p;
 the prime, or None for Q, chooses the arithmetic.  Terms are keyed by
-packed monomials (`ring._Packing`): an exponent vector is one int, W bits a
-variable with x_n in the top field.  A product is a sum, a quotient a
-difference, g divides m when m - g is non-negative with no field's top bit
-set, and within one degree (every polynomial here is homogeneous) the
-smallest key is the revlex-greatest, so the reduction heap holds plain ints.
-W fits the input degrees; a pair whose lcm degree does not fit restarts the
-run with wider fields, from its first yield, so nothing wraps.  One driver
-(`_bases`) packs, moves and restarts for every caller.  Over Q the
+packed monomials (`_Packing` owns the format): an exponent vector a is the
+int sum_i a_i << W(i-1), W bits a variable with x_n in the top field.  A
+product is a sum, a quotient a difference.  While every exponent is below
+2^(W-1), g divides m when m - g is non-negative with no field's top (guard)
+bit set, and a key's degree is the key mod 2^W - 1.  Within one degree
+(every polynomial here is homogeneous) the smallest key is the
+revlex-greatest, so the reduction heap holds plain ints.  W fits the input
+degrees, with at least 8 bits; a pair whose lcm degree does not fit restarts
+the run with wider fields, from its first yield, so nothing wraps.  One
+driver (`_bases`) packs, moves and restarts for every caller.  Over Q the
 arithmetic is fraction-free: polynomials are primitive integer coefficient
 dicts, reduction is pseudo-reduction (scale by the divisor's leading
 coefficient when it is not 1, subtract, strip content at the end), and
@@ -23,11 +25,13 @@ the gin trials read off their leading monomials only.
 
 gin(I) moves the generators by a seeded random unit lower-triangular matrix L,
 x_i -> x_i + sum_{j<i} a_ij x_j with a_ij uniform in [-B, B] (B = 10^4 to
-start), reduces them mod p and runs Buchberger over F_p.  L suffices: a generic
-change of coordinates is L followed by an upper-triangular one, which keeps
-every leading term; and L is invertible over every field.  Trial k uses the
-k-th of ten fixed primes below 2^31 (2^31-1, 2^31-19, ...), so the matrix
-stream depends on the seed alone.  The loop yields its basis at each lcm-degree
+start), and runs Buchberger over F_p; the substitution (`_substitute`)
+already runs mod p, reducing images, coefficients and every sum as it goes.
+L suffices: a generic change of coordinates is L followed by an
+upper-triangular one, which keeps every leading term; and L is invertible
+over every field.  Trial k uses the k-th of ten fixed primes below 2^31
+(2^31-1, 2^31-19, ...), so the matrix stream depends on the seed alone.
+The loop yields its basis at each lcm-degree
 transition and skips no pairs; the trials own the stops.  The first stops when
 its leads J reach the Hilbert series of I (of in(I) over Q for polynomial
 input), which is exact: they lie in the initial ideal of the moved ideal mod p,
@@ -44,18 +48,10 @@ import heapq
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .monomial import MonomialIdeal, hilbert_numerator, is_strongly_stable
-from .ring import (
-    Monomial,
-    Polynomial,
-    RingSpec,
-    _Packing,
-    _Record,
-    _substitute,
-    require_int,
-)
+from .ring import Exps, Monomial, Polynomial, RingSpec, _Record, require_int
 
 __all__ = [
     "GroebnerBasis",
@@ -82,6 +78,105 @@ class _Overflow(Exception):
 
 
 # -- engine helpers (packed monomial keys, integer coefficients) ---------------
+
+
+class _Packing:
+    """The packed keys of the module docstring for n variables, with fields
+    wide enough for the degree given."""
+
+    __slots__ = ("n", "width", "field", "limit", "guard")
+
+    def __init__(self, n: int, degree: int):
+        self.n = n
+        self.width = w = max(8, degree.bit_length() + 1)
+        self.field = (1 << w) - 1
+        self.limit = 1 << (w - 1)
+        self.guard = sum(self.limit << (w * i) for i in range(n))
+
+    def pack(self, e: Exps) -> int:
+        w = self.width
+        return sum(x << (w * i) for i, x in enumerate(e))
+
+    def unpack(self, key: int) -> Exps:
+        w, field = self.width, self.field
+        return tuple(key >> (w * i) & field for i in range(self.n))
+
+    def divides(self, g: int, m: int) -> bool:
+        """g | m; the engines inline this test in their inner loops."""
+        q = m - g
+        return q >= 0 and not q & self.guard
+
+    def degree(self, key: int) -> int:
+        """Sum of the fields; exact below 2^W - 1, so for any lcm of two
+        keys of degree below the limit."""
+        return key % self.field
+
+    def lcm(self, a: int, b: int) -> int:
+        # with the guard bits set in a, no field of a - b borrows from the
+        # next, and field i keeps its guard bit exactly when a_i >= b_i
+        keep = ((a | self.guard) - b & self.guard) >> (self.width - 1)
+        mask = keep * self.field
+        return a & mask | b & ~mask
+
+
+def _poly_mul(a: IntPoly, b: IntPoly, prime: int) -> IntPoly:
+    """Product over F_prime of two polynomials on packed keys with nonzero
+    coefficients in [0, prime)."""
+    out: IntPoly = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = m1 + m2
+            v = (out.get(key, 0) + c1 * c2) % prime
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def _substitute(
+    polys: Sequence[IntPoly], matrix: Sequence[Sequence[int]], packing: _Packing, prime: int
+) -> list[IntPoly]:
+    """Substitute xi -> sum_j matrix[i][j] * xj in each polynomial on packed
+    keys, over F_prime: every coefficient comes out in [0, prime), and input
+    terms that vanish mod prime are skipped.  Degrees are kept, so the output
+    fits the packing the input fits."""
+    n = len(matrix)
+    w, field = packing.width, packing.field
+    images = [{1 << (w * j): c % prime for j, c in enumerate(row) if c % prime} for row in matrix]
+    # cache linear-form powers; generators reuse the same images repeatedly
+    powers: list[dict[int, IntPoly]] = [{0: {0: 1}} for _ in range(n)]
+
+    def power(i: int, e: int) -> IntPoly:
+        cache = powers[i]
+        if e not in cache:
+            best = max(k for k in cache if k <= e)
+            acc = cache[best]
+            for k in range(best + 1, e + 1):
+                acc = _poly_mul(acc, images[i], prime)
+                cache[k] = acc
+        return cache[e]
+
+    out = []
+    for p in polys:
+        result: IntPoly = {}
+        for m, c in p.items():
+            c %= prime
+            if not c:
+                continue
+            piece = {0: c}
+            for i in range(n):
+                e = m >> (w * i) & field
+                if e:
+                    piece = _poly_mul(piece, power(i, e), prime)
+            for key, v in piece.items():
+                s = (result.get(key, 0) + v) % prime
+                if s:
+                    result[key] = s
+                else:
+                    del result[key]
+        out.append(result)
+    return out
 
 
 def _primitive(p: IntPoly | MonoPoly) -> IntPoly | MonoPoly:
@@ -301,11 +396,7 @@ def _bases(
         packing = _Packing(n, degree)
         packed = [{packing.pack(m.exponents): c for m, c in g.items()} for g in gens]
         if matrix is not None:
-            moved = (
-                {m: c % prime for m, c in p.items() if c % prime}
-                for p in _substitute(packed, matrix, packing)
-            )
-            packed = [q for q in moved if q]
+            packed = [q for q in _substitute(packed, matrix, packing, prime) if q]
         try:
             for G in _buchberger(packed, prime, packing):
                 yield G, packing
@@ -446,6 +537,19 @@ class GinResult(_Record):
 
 # trial k of a gin call runs mod _PRIMES[k]: the ten largest primes below 2^31
 _PRIMES = tuple(2**31 - d for d in (1, 19, 61, 69, 85, 99, 105, 151, 159, 171))
+_MOVED_LIMIT = 1 << 18  # terms of the generators after a change of coordinates
+
+
+def _refuse_moves(int_gens: list[MonoPoly]) -> None:
+    """Refuse generators whose moved images could pass _MOVED_LIMIT terms:
+    a form of degree e in x_1..x_k has at most C(k+e-1, e) of them."""
+    count = 0
+    for g in int_gens:
+        e = next(iter(g)).degree
+        k = max(m.max_index() for m in g)
+        count += comb(k + e - 1, e) if e else 1
+    if count > _MOVED_LIMIT:
+        raise ValueError(f"change of coordinates to {count} terms refused (more than {_MOVED_LIMIT})")
 
 
 def _draw_matrix(rng: random.Random, n: int, bound: int) -> list[list[int]]:
@@ -487,6 +591,8 @@ def gin(
     another prime, must reach that same ideal; otherwise the entry bound
     doubles (five rounds max) before NotCertified is raised.  `trials` counts
     the trials of every round run.  Deterministic in (generators, seed).
+    Generators whose moved images could pass _MOVED_LIMIT terms are refused
+    with ValueError before any run.
     """
     require_int(seed, "seed")
     if isinstance(gens, MonomialIdeal):
@@ -497,6 +603,7 @@ def gin(
         int_gens = [_to_int_poly(f) for f in polys]
     if not int_gens:
         return GinResult(MonomialIdeal.zero(ring), seed, 0, True)
+    _refuse_moves(int_gens)
     # the Hilbert series of the input, or over Q of its initial ideal
     target = hilbert_numerator(
         gens if isinstance(gens, MonomialIdeal) else _exact_leads(int_gens, ring.n)

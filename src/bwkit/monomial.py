@@ -23,8 +23,8 @@ from math import comb
 from operator import le
 
 from .ring import (
-    Exps, HilbertSeries, Monomial, RingSpec, UniPoly, _Record, _SparseTable, _variable_position,
-    exponent_mask, require_int, revlex_key,
+    Exps, HilbertSeries, Monomial, RingSpec, UniPoly, _Frozen, _Record, _SparseTable,
+    _variable_position, exponent_mask, require_int, revlex_key,
 )
 
 
@@ -38,7 +38,7 @@ def _minimalize(exps: Iterable[Exps]) -> list[Exps]:
     return kept
 
 
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """A monomial ideal, stored by its unique minimal generating set.  Its
     Hilbert numerator and strong-stability verdict are computed once, by
     hilbert_numerator and is_strongly_stable, and kept in the private
@@ -58,11 +58,6 @@ class MonomialIdeal:
         )
         object.__setattr__(self, "_numerator", None)
         object.__setattr__(self, "_stable", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MonomialIdeal is immutable")
-
-    __delattr__ = __setattr__
 
     # -- constructors --------------------------------------------------
 

@@ -1,9 +1,13 @@
 """Exact arithmetic core: monomials, polynomials over Q, the one revlex key,
-the packed monomial keys of the Groebner engines, the one exact sparse rank
-(over Q or F_p), the change-of-coordinates kernel, and the univariate
-machinery (Hilbert series, bivariate layer polynomials) everything else sits
-on.  Its univariate basis changes have one owner each: UniPoly.divexact_one_minus_t
+the one exact sparse rank (over Q or F_p), and the univariate machinery
+(Hilbert series, bivariate layer polynomials) everything else sits on.  Its
+univariate basis changes have one owner each: UniPoly.divexact_one_minus_t
 divides by (1-t)^k, and UniPoly.translate moves to powers of t - a and back.
+apply_linear_change substitutes a rational matrix in plain Polynomial
+arithmetic; the Groebner engines' packed keys live in groebner.py.
+
+_Frozen owns immutability for every value type here and for MonomialIdeal
+and SimplicialComplex.
 
 Two owners of output formats live here as well.  _SparseTable is the base of
 every result table (the layer polynomial, the f- and h-triangles, Betti and
@@ -61,7 +65,19 @@ def require_field(p) -> int | None:
     return p
 
 
-class RingSpec:
+class _Frozen:
+    """Base of the immutable value types: an instance sets its slots once,
+    through object.__setattr__, and refuses any later assignment or deletion."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class RingSpec(_Frozen):
     """A standard graded polynomial ring Q[x1..xn], deg xi = 1."""
 
     __slots__ = ("n",)
@@ -70,11 +86,6 @@ class RingSpec:
         if require_int(n, "variable count") < 1:
             raise ValueError("ring needs at least one variable")
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RingSpec is immutable")
-
-    __delattr__ = __setattr__
 
     # written out rather than a _Record: every ideal compares and hashes its ring
     def __eq__(self, other) -> bool:
@@ -132,7 +143,7 @@ def revlex_compare(a: "Monomial", b: "Monomial") -> int:
     return (ka > kb) - (ka < kb)
 
 
-class Monomial:
+class Monomial(_Frozen):
     """Immutable exponent vector. Position k holds the exponent of x(k+1)."""
 
     __slots__ = ("exponents",)
@@ -147,11 +158,6 @@ class Monomial:
             if e < 0:
                 raise ValueError("negative exponent")
         object.__setattr__(self, "exponents", exponents)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Monomial is immutable")
-
-    __delattr__ = __setattr__
 
     @property
     def degree(self) -> int:
@@ -263,7 +269,7 @@ def _signed_sum(terms: Iterable[tuple[int | Fraction, str]], sep: str = "") -> s
     return "".join(out) or "0"
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Element of Q[x1..xn]: a finite map from monomials to nonzero rationals.
 
     Term iteration is descending revlex; the leading data come from the same
@@ -283,11 +289,6 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_sorted", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Polynomial is immutable")
-
-    __delattr__ = __setattr__
 
     # -- constructors ------------------------------------------------------
 
@@ -541,117 +542,16 @@ def _sparse_rank(rows: Iterable[Mapping[int, int]], p: int | None) -> int:
     return len(pivots)
 
 
-class _Packing:
-    """Exponent vectors of n variables packed into one int, W bits a field
-    and x_n in the top field: key(a) = sum_i a_i << W(i-1).
-
-    Products are sums and quotients differences.  Within one degree a
-    smaller key is revlex-greater.  While every exponent is below the limit
-    2^(W-1), g divides m exactly when d = m - g is non-negative with no
-    field's top (guard) bit set, and the degree of a key is the key mod
-    2^W - 1.  W fits the largest degree given, with at least 8 bits."""
-
-    __slots__ = ("n", "width", "field", "limit", "guard")
-
-    def __init__(self, n: int, degree: int):
-        self.n = n
-        self.width = w = max(8, degree.bit_length() + 1)
-        self.field = (1 << w) - 1
-        self.limit = 1 << (w - 1)
-        self.guard = sum(self.limit << (w * i) for i in range(n))
-
-    def pack(self, e: Exps) -> int:
-        w = self.width
-        return sum(x << (w * i) for i, x in enumerate(e))
-
-    def unpack(self, key: int) -> Exps:
-        w, field = self.width, self.field
-        return tuple(key >> (w * i) & field for i in range(self.n))
-
-    def divides(self, g: int, m: int) -> bool:
-        """g | m; the engines inline this test in their inner loops."""
-        q = m - g
-        return q >= 0 and not q & self.guard
-
-    def degree(self, key: int) -> int:
-        """Sum of the fields; exact below 2^W - 1, so for any lcm of two
-        keys of degree below the limit."""
-        return key % self.field
-
-    def lcm(self, a: int, b: int) -> int:
-        # with the guard bits set in a, no field of a - b borrows from the
-        # next, and field i keeps its guard bit exactly when a_i >= b_i
-        keep = ((a | self.guard) - b & self.guard) >> (self.width - 1)
-        mask = keep * self.field
-        return a & mask | b & ~mask
-
-
-def _poly_mul(
-    a: Mapping[int, int | Fraction], b: Mapping[int, int | Fraction]
-) -> dict[int, int | Fraction]:
-    """Product of two polynomials on packed keys."""
-    out: dict[int, int | Fraction] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            key = m1 + m2
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
-
-
-def _substitute(
-    polys: Sequence[Mapping[int, int | Fraction]],
-    matrix: Sequence[Sequence[int | Fraction]],
-    packing: _Packing,
-) -> list[dict[int, int | Fraction]]:
-    """Substitute xi -> sum_j matrix[i][j] * xj in each polynomial on packed
-    keys with int or Fraction coefficients; integer input stays integral.
-    Degrees are kept, so the output fits the packing the input fits."""
-    n = len(matrix)
-    w, field = packing.width, packing.field
-    images = [{1 << (w * j): c for j, c in enumerate(row) if c} for row in matrix]
-    # cache linear-form powers; generators reuse the same images repeatedly
-    powers: list[dict[int, dict[int, int | Fraction]]] = [{0: {0: 1}} for _ in range(n)]
-
-    def power(i: int, e: int) -> dict[int, int | Fraction]:
-        cache = powers[i]
-        if e not in cache:
-            best = max(k for k in cache if k <= e)
-            acc = cache[best]
-            for k in range(best + 1, e + 1):
-                acc = _poly_mul(acc, images[i])
-                cache[k] = acc
-        return cache[e]
-
-    out = []
-    for p in polys:
-        result: dict[int, int | Fraction] = {}
-        for m, c in p.items():
-            piece = {0: c}
-            for i in range(n):
-                e = m >> (w * i) & field
-                if e:
-                    piece = _poly_mul(piece, power(i, e))
-            for key, v in piece.items():
-                s = result.get(key, 0) + v
-                if s:
-                    result[key] = s
-                else:
-                    del result[key]
-        out.append(result)
-    return out
-
-
 def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]]) -> Polynomial:
     """Substitute xi -> sum_j matrix[i][j] * xj (rows give variable images).
 
     The matrix must be square of the ring's size and invertible; a singular
     matrix is rejected. apply(f, g1 @ g2) == apply(apply(f, g1), g2).
+    The image is sum_m c_m prod_i L_i^(m_i), L_i the image of xi, in plain
+    Polynomial arithmetic: gin's packed substitution mod p shares none of it.
     """
-    n = f.ring.n
+    ring = f.ring
+    n = ring.n
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("change-of-coordinates matrix has wrong shape")
     rows = [[Fraction(x) for x in row] for row in matrix]
@@ -661,13 +561,17 @@ def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]
         scaled.append({c: int(x * den) for c, x in enumerate(row)})
     if _sparse_rank(scaled, None) != n:
         raise ValueError("change-of-coordinates matrix is singular")
-    packing = _Packing(n, f.degree or 0)
-    packed = {packing.pack(m.exponents): c for m, c in f._terms.items()}
-    (moved,) = _substitute([packed], rows, packing)
-    return Polynomial(f.ring, {Monomial(packing.unpack(k)): c for k, c in moved.items()})
+    images = [Polynomial(ring, {ring.variable(j + 1): x for j, x in enumerate(row)}) for row in rows]
+    out = Polynomial.zero(ring)
+    for m, c in f.terms():
+        term = Polynomial.from_monomial(ring, ring.one(), c)
+        for image, e in zip(images, m.exponents):
+            term = term * image ** e
+        out = out + term
+    return out
 
 
-class UniPoly:
+class UniPoly(_Frozen):
     """Univariate polynomial in t with integer coefficients.  Its two basis
     changes are divexact_one_minus_t, by (1-t)^k (layer rows, canonical
     series), and translate, p(t + a) (a = 1, -1: to powers of t - 1 and back)."""
@@ -681,11 +585,6 @@ class UniPoly:
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, *_):
-        raise AttributeError("UniPoly is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -799,7 +698,7 @@ def _partial_sums(c: Iterable[int], k: int) -> list[int]:
     return c
 
 
-class HilbertSeries:
+class HilbertSeries(_Frozen):
     """Rational series numerator / (1-t)^denom_power with integer numerator.
 
     Equality is by value (cross-multiplied numerators), so a series may be held
@@ -814,11 +713,6 @@ class HilbertSeries:
             raise ValueError("denominator power must be non-negative")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denom_power", 0 if numerator.is_zero else denom_power)
-
-    def __setattr__(self, *_):
-        raise AttributeError("HilbertSeries is immutable")
-
-    __delattr__ = __setattr__
 
     def canonical(self) -> "HilbertSeries":
         num, k = self.numerator, self.denom_power
@@ -873,7 +767,7 @@ class HilbertSeries:
         )
 
 
-class _Record:
+class _Record(_Frozen):
     """Base of the immutable result records: value objects whose fields are
     the subclass's __slots__, in order.
 
@@ -890,11 +784,6 @@ class _Record:
             raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(values)}")
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -915,7 +804,7 @@ class _Record:
         return f"{type(self).__name__}({shown})"
 
 
-class _SparseTable:
+class _SparseTable(_Frozen):
     """Immutable sparse integer table (a, b) -> nonzero entry.
 
     Every index and entry must be an int (require_int, with the labels each
@@ -941,11 +830,6 @@ class _SparseTable:
 
     def _check_index(self, a: int, b: int) -> None:
         """Raise ValueError for an index outside the table's range."""
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
     def value(self, a: int, b: int) -> int:
         return self.entries.get((a, b), 0)

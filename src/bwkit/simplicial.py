@@ -22,8 +22,8 @@ from math import comb
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
 from .ring import (
-    Monomial, RingSpec, UniPoly, _Record, _SparseTable, _power, _signed_sum, _sparse_rank, exponent_mask, require_field,
-    require_int,
+    Monomial, RingSpec, UniPoly, _Frozen, _Record, _SparseTable, _power, _signed_sum, _sparse_rank,
+    exponent_mask, require_field, require_int,
 )
 
 Face = frozenset[int]
@@ -42,7 +42,7 @@ def _vertex_set(n: int, vertices: Iterable[int]) -> Face:
     return s
 
 
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """A nonvoid simplicial complex, stored by its facets.
 
     The ground set is {1..n}; vertices may be unused.  The empty complex
@@ -69,11 +69,6 @@ class SimplicialComplex:
                 maximal.append(f)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "facets", frozenset(maximal))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SimplicialComplex is immutable")
-
-    __delattr__ = __setattr__
 
     @property
     def dim(self) -> int:

@@ -536,6 +536,36 @@ def test_huge_exponents_are_refused(capsys, tmp_path, verb):
     assert err.startswith("error: Hilbert numerator of ") and "refused" in err
 
 
+@pytest.mark.parametrize(
+    "verb, data, message",
+    [
+        # x9*...*x16 alone moves to C(23, 8) = 490,314 terms
+        ("gin", {"vars": 16, "gens": [[1] * 8 + [0] * 8, [0] * 8 + [1] * 8]},
+         "change of coordinates to 496749 terms refused (more than 262144)"),
+        ("local-cohomology", {"vars": 1, "gens": [[8000]]},
+         "layer row of 8000 coefficients refused (more than 4096)"),
+    ],
+    ids=["gin", "local-cohomology"],
+)
+def test_exploding_work_is_refused(capsys, tmp_path, verb, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([verb, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_layer_rows_below_the_bound_are_answered(capsys, tmp_path):
+    """x1^4000 has one layer row of 4000 coefficients, all 4000 of its
+    (t-1)-coefficients nonzero."""
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"vars": 1, "gens": [[4000]]}))
+    data = run_json(capsys, ["local-cohomology", "--input", str(path)])
+    assert data["route"] == "filtration"
+    assert len(data["entries"]) == 4000
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -404,6 +404,24 @@ def test_local_cohomology_scm_matches_hochster_on_cm_complex():
     assert local_cohomology_scm(i) == local_cohomology_hochster(triangle)
 
 
+def test_local_cohomology_scm_refuses_a_long_layer_row(monkeypatch):
+    """R/(x1^3) in two variables has the one layer row 1 + t + t^2: a limit
+    of 3 coefficients admits it, and 2 refuses it before any row is shifted,
+    with a ValueError that is not NotSCM."""
+    cube = ideal(R2, (3, 0))
+    monkeypatch.setattr(filtration, "_LAYER_ROW_LIMIT", 3)
+    assert local_cohomology_scm(cube).entries == {(1, 1): 3, (1, 0): 3, (1, -1): 1}
+
+    def no_shift(*args):
+        raise AssertionError("a refused row was shifted")
+
+    monkeypatch.setattr(filtration, "_LAYER_ROW_LIMIT", 2)
+    monkeypatch.setattr(UniPoly, "translate", no_shift)
+    with pytest.raises(ValueError, match="layer row of 3 coefficients refused") as caught:
+        local_cohomology_scm(cube)
+    assert not isinstance(caught.value, NotSCM)
+
+
 def test_local_cohomology_scm_rejects_non_scm():
     with pytest.raises(NotSCM):
         local_cohomology_scm(worked_example_ideal(), seed=0)

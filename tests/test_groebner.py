@@ -298,6 +298,33 @@ def test_gin_primes_are_distinct_word_size_primes():
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+@pytest.mark.parametrize("head", ["2147483647*x1^2 + x2^2", "4294967294*x1*x2 + x2^2 + x3^2"])
+def test_gin_drops_terms_that_vanish_mod_the_trial_prime(head):
+    """The first trial runs mod 2^31 - 1, which divides a coefficient of the
+    first generator: its substitution skips that term, and the round still
+    certifies the gin over Q."""
+    result = gin([poly(R3, head), poly(R3, "x1*x3 - x2^2")], seed=0)
+    assert result.ideal.to_json()["gens"] == [[0, 3, 0], [2, 0, 0], [1, 1, 0]]
+    assert result.trials == 2
+
+
+def test_gin_refuses_generators_that_move_to_too_many_terms(monkeypatch):
+    """x1*x2 and x2*x3 move to at most C(3, 2) + C(4, 2) = 9 terms, counted
+    before any run: a limit of 9 admits them and 8 refuses them."""
+    gens = [poly(R3, "x1*x2"), poly(R3, "x2*x3")]
+    monkeypatch.setattr(groebner, "_MOVED_LIMIT", 9)
+    assert gin(gens).ideal == gin(MonomialIdeal.from_exponents(R3, [(1, 1, 0), (0, 1, 1)])).ideal
+
+    def no_run(*args):
+        raise AssertionError("a refused input ran Buchberger")
+
+    monkeypatch.setattr(groebner, "_MOVED_LIMIT", 8)
+    monkeypatch.setattr(groebner, "_bases", no_run)
+    for refused in (gens, MonomialIdeal.from_exponents(R3, [(1, 1, 0), (0, 1, 1)])):
+        with pytest.raises(ValueError, match="to 9 terms refused"):
+            gin(refused)
+
+
 def _trial_inputs():
     rng = random.Random(314)
     for k in range(60):

@@ -32,7 +32,8 @@ from bwkit import (
     revlex_key,
     scm_check,
 )
-from bwkit.ring import _Packing, exponent_revlex_key
+from bwkit.groebner import _Packing
+from bwkit.ring import exponent_revlex_key
 
 
 def mono(*exps):
@@ -196,14 +197,25 @@ def test_apply_linear_change():
     assert apply_linear_change(x1 * x2, shear) == x1 * x2 + x2 * x2
     with pytest.raises(ValueError):
         apply_linear_change(x1, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+    # rational entries
+    half = Fraction(1, 2)
+    scale = [[half, 0, 0], [0, 2, 0], [0, 0, 1]]
+    assert apply_linear_change(x1 * x2, scale) == x1 * x2
+    assert apply_linear_change(x1 * x1 - x3, scale) == (x1 * x1).scale(Fraction(1, 4)) - x3
+    shear = [[1, half, 0], [0, 1, 0], [0, 0, 1]]
+    assert apply_linear_change(x1 * x1, shear) == x1 * x1 + x1 * x2 + (x2 * x2).scale(Fraction(1, 4))
+    with pytest.raises(ValueError, match="singular"):
+        apply_linear_change(x1, [[half, 1, 0], [1, 2, 0], [0, 0, 1]])
 
 
 def test_apply_linear_change_composition():
-    a = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
     b = [[1, 0, 1], [2, 1, 0], [0, 0, 3]]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     f = x1 * x2 + x3 * x3 - x1.scale(3) * x3
-    assert apply_linear_change(apply_linear_change(f, b), a) == apply_linear_change(f, ba)
+    integral = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
+    rational = [[Fraction(1, 2), 2, 0], [0, 1, Fraction(-1, 3)], [1, 0, 1]]
+    for a in (integral, rational):
+        ba = [[sum(b[i][k] * a[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        assert apply_linear_change(apply_linear_change(f, b), a) == apply_linear_change(f, ba)
 
 
 # -- packed monomial keys -----------------------------------------------------------
