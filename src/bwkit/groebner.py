@@ -50,7 +50,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import comb, gcd
 
-from .monomial import MonomialIdeal, hilbert_numerator, is_strongly_stable
+from .monomial import MonomialIdeal, _antichain, hilbert_numerator, is_strongly_stable
 from .ring import Exps, Monomial, Polynomial, RingSpec, _Record, require_int
 
 __all__ = [
@@ -365,15 +365,10 @@ def _buchberger(
 
 def _autoreduce(G: list[_Basis], packing: _Packing) -> list[IntPoly]:
     """Keep elements with minimal leads, tail-reduce each against the others."""
-    keep = []
-    for i, g in enumerate(G):
-        if not any(
-            j != i and packing.divides(h.lm, g.lm) for j, h in enumerate(G)
-        ):
-            keep.append(g)
-    # distinct leads are guaranteed (a remainder's lead divides no earlier lead),
-    # so "minimal" needs no tie-breaking; ascending revlex
-    keep.sort(key=lambda g: (g.deg, -g.lm))
+    # leads are distinct (a remainder's lead divides no earlier lead), so two
+    # of one degree never divide each other and "minimal" needs no tie-breaking
+    keep = _antichain(G, lambda g: g.deg, lambda h, g: packing.divides(h.lm, g.lm))
+    keep.sort(key=lambda g: (g.deg, -g.lm))  # ascending revlex
     out: list[IntPoly] = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]

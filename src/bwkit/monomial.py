@@ -18,7 +18,7 @@ chain comes from saturating by x_n, x_{n-1}, ... until <1>, with no transversals
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import comb
 from operator import le
 
@@ -28,14 +28,20 @@ from .ring import (
 )
 
 
+def _antichain(items: Iterable, size: Callable, covers: Callable) -> list:
+    """The items that no kept item covers, by ascending size.  covers(k, e)
+    may hold only when size(k) < size(e), so items of one size never cover
+    each other and each is tested against the kept items of smaller sizes
+    alone: a large class of one size costs no pairwise scan."""
+    kept = []
+    for _, group in itertools.groupby(sorted(items, key=size), size):
+        kept += [e for e in group if not any(covers(k, e) for k in kept)]
+    return kept
+
+
 def _minimalize(exps: Iterable[Exps]) -> list[Exps]:
     """Keep only divisibility-minimal exponent vectors; <1> collapses to [1]."""
-    items = sorted(set(exps), key=lambda e: (sum(e), e))
-    kept: list[Exps] = []
-    for e in items:
-        if not any(all(map(le, k, e)) for k in kept):
-            kept.append(e)
-    return kept
+    return _antichain(set(exps), sum, lambda k, e: all(map(le, k, e)))
 
 
 class MonomialIdeal(_Frozen):
@@ -47,15 +53,15 @@ class MonomialIdeal(_Frozen):
     __slots__ = ("ring", "gens", "_numerator", "_stable")
 
     def __init__(self, ring: RingSpec, gens: Iterable[Monomial]):
-        exps = []
+        by_exps = {}
         for g in gens:
+            if not isinstance(g, Monomial):
+                raise ValueError(f"generator must be a Monomial, got {g!r}")
             if len(g.exponents) != ring.n:
                 raise ValueError("generator does not match ring dimension")
-            exps.append(g.exponents)
+            by_exps[g.exponents] = g
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self, "gens", frozenset(Monomial(e) for e in _minimalize(exps))
-        )
+        object.__setattr__(self, "gens", frozenset(map(by_exps.get, _minimalize(by_exps))))
         object.__setattr__(self, "_numerator", None)
         object.__setattr__(self, "_stable", None)
 

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from math import comb
 
 from .groebner import gin
-from .monomial import BettiTable, MonomialIdeal, _minimal_transversals
+from .monomial import BettiTable, MonomialIdeal, _antichain, _minimal_transversals
 from .ring import (
     Monomial, RingSpec, UniPoly, _Frozen, _Record, _SparseTable, _power, _signed_sum, _sparse_rank,
     exponent_mask, require_field, require_int,
@@ -30,6 +30,7 @@ Face = frozenset[int]
 
 _HOCHSTER_LIMIT = 14  # 2^n subcomplex scans stop being a desk computation
 _FACE_LIMIT = 1 << 18  # faces enumerated one by one
+_DUAL_LIMIT = 1 << 18  # vertices written out over the Alexander dual's facets
 
 
 def _vertex_set(n: int, vertices: Iterable[int]) -> Face:
@@ -57,18 +58,9 @@ class SimplicialComplex(_Frozen):
         cand = {_vertex_set(n, f) for f in faces}
         if not cand:
             raise ValueError("void complex: supply at least the empty face")
-        # a face can only lie in a strictly larger one: take the faces by
-        # descending size and test each against the kept faces of larger
-        # sizes alone, so a large class of one size costs no pairwise scan
-        maximal: list[Face] = []
-        larger = 0  # maximal[:larger] are larger than the face in hand
-        for f in sorted(cand, key=len, reverse=True):
-            if maximal and len(maximal[-1]) > len(f):
-                larger = len(maximal)
-            if not any(f < g for g in maximal[:larger]):
-                maximal.append(f)
+        facets = _antichain(cand, lambda f: -len(f), lambda g, f: f < g)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "facets", frozenset(maximal))
+        object.__setattr__(self, "facets", frozenset(facets))
 
     @property
     def dim(self) -> int:
@@ -185,25 +177,21 @@ def f_triangle(cpx: SimplicialComplex) -> FTriangle:
 
 def h_triangle(cpx: SimplicialComplex) -> HTriangle:
     """h_{i,j} by the generating identity row_i(t) = sum_j f_{i,j} t^j (1-t)^{i-j},
+    that is t^i g(1/t) for g(u) = sum_k f_{i,i-k} (u-1)^k, a Taylor shift;
     cross-checked against the direct alternating sum."""
     ft = f_triangle(cpx)
     entries: dict[tuple[int, int], int] = {}
     for i in range(ft.d + 1):
-        row = UniPoly.zero()
-        for j in range(i + 1):
-            fij = ft.value(i, j)
-            if fij:
-                row = row + (UniPoly.t_power(j) * UniPoly.one_minus_t_power(i - j)) * fij
-        for j, c in enumerate(row.coeffs):
-            if c:
-                entries[(i, j)] = c
+        g = UniPoly(ft.value(i, i - k) for k in range(i + 1)).translate(-1)
+        row = [g.coeff(i - j) for j in range(i + 1)]
+        entries.update(((i, j), c) for j, c in enumerate(row) if c)
         # independent route: h_{i,j} = sum_k (-1)^(j-k) C(i-k, j-k) f_{i,k}
         for j in range(i + 1):
             direct = sum(
                 (-1) ** (j - k) * comb(i - k, j - k) * ft.value(i, k)
                 for k in range(j + 1)
             )
-            if direct != row.coeff(j):
+            if direct != row[j]:
                 raise AssertionError("h-triangle routes disagree; this is a bug")
     return HTriangle(ft.d, entries)
 
@@ -259,12 +247,18 @@ def facet_subcomplex(cpx: SimplicialComplex, i: int) -> SimplicialComplex:
 
 def alexander_dual(cpx: SimplicialComplex) -> SimplicialComplex:
     """Faces are the complements of non-faces; facets complement the minimal
-    non-faces.  The full simplex has no non-faces and is rejected."""
-    nonfaces = minimal_nonfaces(cpx)
+    non-faces.  The full simplex has no non-faces and is rejected, and a dual
+    of more than _DUAL_LIMIT vertex entries is refused before it is built."""
+    nonfaces = _nonface_masks(cpx)
     if not nonfaces:
         raise ValueError("the full simplex has a void Alexander dual")
-    ground = frozenset(range(1, cpx.n + 1))
-    return SimplicialComplex(cpx.n, [ground - frozenset(nf) for nf in nonfaces])
+    entries = sum(cpx.n - nf.bit_count() for nf in nonfaces)
+    if entries > _DUAL_LIMIT:
+        raise ValueError(
+            f"Alexander dual of {entries} vertex entries refused (more than {_DUAL_LIMIT})"
+        )
+    ground = (1 << cpx.n) - 1
+    return SimplicialComplex(cpx.n, [_vertices(ground ^ nf) for nf in nonfaces])
 
 
 def link(cpx: SimplicialComplex, sigma: Iterable[int]) -> SimplicialComplex:

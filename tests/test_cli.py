@@ -544,8 +544,14 @@ def test_huge_exponents_are_refused(capsys, tmp_path, verb):
          "change of coordinates to 496749 terms refused (more than 262144)"),
         ("local-cohomology", {"vars": 1, "gens": [[8000]]},
          "layer row of 8000 coefficients refused (more than 4096)"),
+        # 998 linear generators x3..x1000 move to 500,497 terms
+        ("shift", {"n": 1000, "facets": [[1, 2]]},
+         "change of coordinates to 500497 terms refused (more than 262144)"),
+        # 998 dual facets of 999 vertices each
+        ("alexander-dual", {"n": 1000, "facets": [[1, 2]]},
+         "Alexander dual of 997002 vertex entries refused (more than 262144)"),
     ],
-    ids=["gin", "local-cohomology"],
+    ids=["gin", "local-cohomology", "shift", "alexander-dual"],
 )
 def test_exploding_work_is_refused(capsys, tmp_path, verb, data, message):
     path = tmp_path / "input.json"

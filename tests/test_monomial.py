@@ -91,6 +91,47 @@ def test_generators_are_minimalized():
     assert len(i.gens) == 2
 
 
+def test_generators_match_pairwise_filter():
+    """The by-degree antichain scan keeps what the all-pairs divisibility
+    filter keeps: with duplicates, with the zero vector, in one degree."""
+    rng = random.Random(3302)
+
+    def one_degree(n, d):
+        cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+    for trial in range(600):
+        n = rng.randint(1, 5)
+        ring = RingSpec(n)
+        if trial % 3 == 0:
+            d = rng.randint(0, 4)
+            family = [one_degree(n, d) for _ in range(rng.randint(1, 12))]
+        else:
+            pool = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+            family = [rng.choice(pool) for _ in range(rng.randint(1, 14))]
+            if trial % 3 == 1:
+                family.append((0,) * n)
+        pairwise = {
+            e for e in family
+            if not any(k != e and all(a <= b for a, b in zip(k, e)) for k in family)
+        }
+        assert set(monomial._minimalize(family)) == pairwise
+        assert {g.exponents for g in MonomialIdeal.from_exponents(ring, family).gens} == pairwise
+
+
+def test_ideal_keeps_the_generators_it_is_given():
+    m = Monomial((1, 2, 0))
+    (kept,) = MonomialIdeal(R3, [m]).gens
+    assert kept is m
+
+    class Lookalike:
+        exponents = (1, 2, 0)
+
+    for bad in ((1, 2, 0), Lookalike()):
+        with pytest.raises(ValueError, match="must be a Monomial"):
+            MonomialIdeal(R3, [m, bad])
+
+
 def test_membership_and_containment():
     i = ideal(R3, (1, 1, 0), (0, 0, 2))
     assert i.contains(Monomial((2, 1, 0)))
