@@ -31,6 +31,7 @@ from .monomial import (
 from .ring import Polynomial, RingSpec, parse_polynomial, require_field
 from .simplicial import (
     SimplicialComplex,
+    _DUAL_LIMIT,
     _refuse_hochster_scan,
     alexander_dual,
     complex_of_ideal,
@@ -178,7 +179,15 @@ def _cmd_gin(loaded, args):
 
 
 def _cmd_filtration(loaded, args):
-    chain = dimension_filtration(_require_monomial(loaded, "filtration"))
+    ideal = _require_monomial(loaded, "filtration")
+    chain = dimension_filtration(ideal)
+    # every level is written out as n-long exponent vectors, under the bound
+    # alexander-dual puts on the vertex entries it writes
+    entries = ideal.ring.n * sum(len(q.gens) for q in chain.ideals)
+    if entries > _DUAL_LIMIT:
+        raise InputError(
+            f"filtration of {entries} exponent entries refused (more than {_DUAL_LIMIT})"
+        )
     text = "\n".join(f"I<{i}> = {q}" for i, q in enumerate(chain.ideals))
     return chain.to_json(), text
 

@@ -99,7 +99,8 @@ class MonomialIdeal(_Frozen):
     def contains(self, m: Monomial) -> bool:
         if len(m.exponents) != self.ring.n:
             raise ValueError("monomial from a different ring")
-        return any(g.divides(m) for g in self.gens)
+        # a generator itself is one set lookup, not a divisibility scan
+        return m in self.gens or any(g.divides(m) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         if self.ring != other.ring:

@@ -492,14 +492,18 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
 # -- exact elimination and change of coordinates ----------------------------------
 
 
-def _sparse_rank(rows: Iterable[Mapping[int, int]], p: int | None) -> int:
-    """Rank over Q (p None) or F_p of sparse rows {column: entry}.
+def _sparse_pivots(rows: Iterable[Mapping[int, int]], p: int | None) -> dict[int, dict[int, int]]:
+    """The pivots of sparse rows {column: entry} over Q (p None) or F_p, keyed
+    by their leading columns; the rank is their number.  The homology clears
+    the rows of the next boundary map by these columns (why that is exact:
+    simplicial._reduced_homology).
 
     A row's leading column is its largest.  Each row is reduced against the
     pivot stored for its leading column until it has a new leading column or
     vanishes.  Over Q pivots lead with a positive entry a, and the step is
     r <- a*r - b*pivot followed by division by the content of r, so rows stay
     integral and small; over F_p the pivots are monic and r <- r - b*pivot.
+    A row that already leads with 1 is stored as it is.
     """
     pivots: dict[int, dict[int, int]] = {}
     for given in rows:
@@ -512,8 +516,9 @@ def _sparse_rank(rows: Iterable[Mapping[int, int]], p: int | None) -> int:
             pivot = pivots.get(lead)
             if pivot is None:
                 if p is not None:
-                    inv = pow(row[lead], -1, p)
-                    row = {c: v * inv % p for c, v in row.items()}
+                    if row[lead] != 1:
+                        inv = pow(row[lead], -1, p)
+                        row = {c: v * inv % p for c, v in row.items()}
                 elif row[lead] < 0:
                     row = {c: -v for c, v in row.items()}
                 pivots[lead] = row
@@ -539,7 +544,13 @@ def _sparse_rank(rows: Iterable[Mapping[int, int]], p: int | None) -> int:
                         row[c] = x
                     else:
                         del row[c]
-    return len(pivots)
+    return pivots
+
+
+def _sparse_rank(rows: Iterable[Mapping[int, int]], p: int | None) -> int:
+    """Rank over Q (p None) or F_p of sparse rows {column: entry}: the number
+    of _sparse_pivots."""
+    return len(_sparse_pivots(rows, p))
 
 
 def apply_linear_change(f: Polynomial, matrix: Sequence[Sequence[int | Fraction]]) -> Polynomial:

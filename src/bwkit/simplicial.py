@@ -11,7 +11,9 @@ Homology is computed on faces stored as vertex bitmasks, over Q by default
 or over F_p when a prime p below 2^31 is supplied (each homology function
 checks p with ring.require_field first): each boundary map is a list of
 sparse rows of +-1, ranked by elimination on leading columns that keeps the
-rows integral over Q (so the rank is exact) and runs mod p over F_p.
+rows integral over Q (so the rank is exact) and runs mod p over F_p.  The
+maps are ranked from the top dimension down, and each skips the rows that
+the map above already shows to be boundaries (clearing).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import comb
 from .groebner import gin
 from .monomial import BettiTable, MonomialIdeal, _antichain, _minimal_transversals
 from .ring import (
-    Monomial, RingSpec, UniPoly, _Frozen, _Record, _SparseTable, _power, _signed_sum, _sparse_rank,
+    Monomial, RingSpec, UniPoly, _Frozen, _Record, _SparseTable, _power, _signed_sum, _sparse_pivots,
     exponent_mask, require_field, require_int,
 )
 
@@ -307,23 +309,36 @@ def _levels(faces: Iterable[int]) -> list[list[int]]:
 def _reduced_homology(levels: list[list[int]], p: int | None) -> dict[int, int]:
     """dim H~_{k-1} for k = 0..len(levels)-1, over Q or F_p, of the complex
     whose faces of k vertices are levels[k] (closed under subsets, so
-    levels[0] == [0], and no level empty)."""
-    ranks = [0]
-    for k in range(1, len(levels)):
-        column = {f: c for c, f in enumerate(levels[k - 1])}
+    levels[0] == [0], and no level empty).
+
+    The boundary maps are ranked from the top level down, with clearing: the
+    rows of level k are the boundaries of its faces, keyed by face mask, and
+    a face that is a pivot column of level k+1 gives no row.  That is exact
+    over Q and every F_p.  The reduced row of level k+1 that leads with sigma
+    is a boundary, hence a cycle a*sigma + (faces below sigma), a != 0; so the
+    boundary of sigma lies in the span of the boundaries of the faces below
+    it (by induction, of the rows kept for them), which come first in the
+    level's increasing order, and its row would reduce to zero without
+    adding a pivot.
+    """
+    ranks = [0] * (len(levels) + 1)
+    cleared: dict[int, dict[int, int]] = {}
+    for k in range(len(levels) - 1, 0, -1):
         rows = []
         for f in levels[k]:
+            if f in cleared:
+                continue
             row = {}
             sign = 1
             rest = f
             while rest:  # drop the vertices of f in increasing order
                 low = rest & -rest
-                row[column[f ^ low]] = sign
+                row[f ^ low] = sign
                 sign = -sign
                 rest ^= low
             rows.append(row)
-        ranks.append(_sparse_rank(rows, p))
-    ranks.append(0)
+        cleared = _sparse_pivots(rows, p)
+        ranks[k] = len(cleared)
     return {k - 1: len(level) - ranks[k] - ranks[k + 1] for k, level in enumerate(levels)}
 
 

@@ -536,6 +536,10 @@ def test_huge_exponents_are_refused(capsys, tmp_path, verb):
     assert err.startswith("error: Hilbert numerator of ") and "refused" in err
 
 
+# x3, ..., x1000
+LINEAR_1000 = [[int(i == j) for i in range(1000)] for j in range(2, 1000)]
+
+
 @pytest.mark.parametrize(
     "verb, data, message",
     [
@@ -550,8 +554,11 @@ def test_huge_exponents_are_refused(capsys, tmp_path, verb):
         # 998 dual facets of 999 vertices each
         ("alexander-dual", {"n": 1000, "facets": [[1, 2]]},
          "Alexander dual of 997002 vertex entries refused (more than 262144)"),
+        # levels of 998, 998 and 1 generators, each 1000 entries long
+        ("filtration", {"vars": 1000, "gens": LINEAR_1000},
+         "filtration of 1997000 exponent entries refused (more than 262144)"),
     ],
-    ids=["gin", "local-cohomology", "shift", "alexander-dual"],
+    ids=["gin", "local-cohomology", "shift", "alexander-dual", "filtration"],
 )
 def test_exploding_work_is_refused(capsys, tmp_path, verb, data, message):
     path = tmp_path / "input.json"
@@ -560,6 +567,15 @@ def test_exploding_work_is_refused(capsys, tmp_path, verb, data, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_filtration_refusal_holds_in_text_format(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"vars": 1000, "gens": LINEAR_1000}))
+    assert main(["filtration", "--input", str(path), "--format", "text"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: filtration of 1997000 exponent entries refused")
 
 
 def test_layer_rows_below_the_bound_are_answered(capsys, tmp_path):

@@ -576,6 +576,26 @@ def test_strong_stability_matches_the_all_exchange_oracle():
     assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
+def test_containment_of_a_generator_is_a_lookup(monkeypatch):
+    """contains answers for an exact generator before any divisibility scan:
+    deciding that x3, ..., x1000 in 1000 variables is not strongly stable
+    tests divisibility only for the one exchange that leaves the ideal
+    (x3 -> x2), not for the 997 that land on generators."""
+    ring = RingSpec(1000)
+    linear = MonomialIdeal(ring, (ring.variable(i) for i in range(3, 1001)))
+    calls = []
+    divides = Monomial.divides
+
+    def counted(g, m):
+        calls.append(m)
+        return divides(g, m)
+
+    monkeypatch.setattr(Monomial, "divides", counted)
+    assert not is_strongly_stable(linear)
+    assert 0 < len(calls) < 2000
+    assert linear.contains(ring.variable(500)) and not linear.contains(ring.variable(2))
+
+
 def test_stability_verdict_is_kept_on_each_ideal(stability_decisions):
     """The first call decides the verdict and later calls read it back; an
     equal ideal built separately decides its own, and the kept verdict
