@@ -23,6 +23,9 @@ from .simplicial import LocalCohomologyTable, SimplicialComplex, h_triangle
 # quadratic time, and its answer quadratic bytes, in the row's length
 _LAYER_ROW_LIMIT = 1 << 12
 
+# scm_check's per-level criteria, in report order
+_CRITERIA = ("depth", "gin-chain-stable", "gin-chain-swap", "hilbert-gin-pair", "hilbert-input-pair")
+
 
 class NotSCM(ValueError):
     """The algebra is not sequentially Cohen-Macaulay."""
@@ -130,7 +133,7 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
     gin/filtration commutation, and the two Hilbert-series comparisons) and
     cross-checks them against the main verdict.  Each distinct level of the
     filtration is evaluated once; the comparisons indexed by the level's
-    position in the chain still run at every position.
+    position run at every position until every criterion has its first miss.
     """
     if not ideal.is_proper:
         raise ValueError("scm check wants a proper ideal")
@@ -151,17 +154,14 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
         chain_in, chain_g = dec_in.chain, dec_g.chain
         if chain_in.d != chain_g.d:
             raise AssertionError("gin changed the Krull dimension; this is a bug")
-        found: dict[str, tuple[int, str]] = {}
-
-        def miss(name: str, i: int, detail: str):
-            if name not in found:
-                found[name] = (i, detail)
-
+        first: dict[str, tuple[int, str]] = {}
         # gin(I^<i>) and what hangs on it change only where the chain moves;
         # below I^<0> sits I itself, whose gin dec_g already filtered
         prev, level, level_chain = ideal, g, chain_g
         depth = borel_depth(g)
         for i, q in enumerate(chain_in.ideals[: chain_in.d]):
+            if len(first) == len(_CRITERIA):
+                break
             if q != prev:
                 prev = q
                 level = gin(q, seed=seed).ideal
@@ -169,33 +169,21 @@ def scm_check(ideal: MonomialIdeal, seed: int = 0, full_battery: bool = True) ->
                 depth = borel_depth(level)
             swapped = chain_g.ideals[i]
             if depth < i + 1:
-                miss("depth", i, f"depth {depth} < {i + 1}")
+                first.setdefault("depth", (i, f"depth {depth} < {i + 1}"))
             own = level_chain.ideals[i]
             if level != own:
-                miss("gin-chain-stable", i, f"{level} vs {own}")
+                first.setdefault("gin-chain-stable", (i, f"{level} vs {own}"))
             if level != swapped:
-                miss("gin-chain-swap", i, f"{level} vs {swapped}")
+                first.setdefault("gin-chain-swap", (i, f"{level} vs {swapped}"))
             hs_level, hs_swapped = hilbert_numerator(level), hilbert_numerator(swapped)
             if hs_level != hs_swapped:
-                miss("hilbert-gin-pair", i, f"{hs_level} vs {hs_swapped}")
+                first.setdefault("hilbert-gin-pair", (i, f"{hs_level} vs {hs_swapped}"))
             hs_input = hilbert_numerator(q)
             if hs_input != hs_swapped:
-                miss("hilbert-input-pair", i, f"{hs_input} vs {hs_swapped}")
-        names = (
-            "depth",
-            "gin-chain-stable",
-            "gin-chain-swap",
-            "hilbert-gin-pair",
-            "hilbert-input-pair",
-        )
+                first.setdefault("hilbert-input-pair", (i, f"{hs_input} vs {hs_swapped}"))
         criteria = tuple(
-            CriterionVerdict(
-                name,
-                name not in found,
-                found[name][0] if name in found else None,
-                found[name][1] if name in found else "",
-            )
-            for name in names
+            CriterionVerdict(name, name not in first, *first.get(name, (None, "")))
+            for name in _CRITERIA
         )
         if all(c.holds for c in criteria) != scm:
             raise AssertionError("equivalent criteria disagree; this is a bug")

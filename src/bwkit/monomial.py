@@ -208,9 +208,10 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
 def _minimal_transversals(edges: Iterable[int]) -> list[int]:
     """Minimal vertex sets meeting every edge, as bitmasks (Berge's sequential
     dualization; grown sets form an antichain).  No edges give [0], an empty
-    edge gives []."""
+    edge gives [].  Edges are taken by size, then by mask, so the answer and
+    its order depend on the set of edges alone, not on the order given."""
     trans = [0]
-    for e in sorted(edges, key=int.bit_count):
+    for e in sorted(sorted(edges), key=int.bit_count):
         hit = [t for t in trans if t & e]
         bits = [1 << k for k in range(e.bit_length()) if e >> k & 1]
         grown = (t | b for t in trans if not t & e for b in bits)

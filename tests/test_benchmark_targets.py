@@ -1,11 +1,28 @@
-"""The benchmark's tracer wraps library functions by name; every name it lists
-must still resolve, or a traced run fails."""
+"""The benchmark calls the library in two ways that a change to bwkit can
+break unseen: its tracer wraps library functions by name, and its cli-verbs
+check recomputes each CLI output by calling the library directly."""
 
 import ast
 import importlib
+import importlib.util
+import io
+import json
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import bwkit
+from bwkit.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+
+
+def _load(name: str):
+    """A perfbench module, loaded by path: perfbench/ is not a package."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def tracer_targets() -> dict:
@@ -29,3 +46,21 @@ def test_every_traced_name_resolves():
                 target = getattr(target, part, None)
                 assert target is not None, f"bwkit.{mod_name}.{name}"
             assert callable(target), f"bwkit.{mod_name}.{name}"
+
+
+def test_cli_verbs_check_agrees_with_the_cli(capsys, monkeypatch):
+    """Round 0 of cli-verbs seed 1, one invocation per slot: each stdout
+    equals the library output that the benchmark's check expects, less the
+    fields the check ignores."""
+    child, workloads = _load("child"), _load("workloads")
+    batch = workloads.cli_verbs(1)[: len(workloads.CLI_SLOTS)]
+    assert {inv["verb"] for inv in batch} == set(bwkit.cli._HANDLERS)
+    for inv in batch:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(inv["input"])))
+        assert main([inv["verb"], "--input", "-", *inv["args"]]) == 0, inv
+        got = json.loads(capsys.readouterr().out)
+        want = json.loads(json.dumps(child._expected(bwkit, inv)))
+        drop = child._IGNORED
+        assert {k: v for k, v in got.items() if k not in drop} == {
+            k: v for k, v in want.items() if k not in drop
+        }, inv["verb"]

@@ -2,6 +2,7 @@
 two process-level launch routes: ``python -m bwkit``, which needs no install,
 and the ``bwkit`` console script, tested where one is installed."""
 
+import itertools
 import json
 import os
 import shutil
@@ -578,6 +579,24 @@ def test_filtration_refusal_holds_in_text_format(capsys, tmp_path):
     assert captured.err.startswith("error: filtration of 1997000 exponent entries refused")
 
 
+def test_complete_graph_edge_ideal_is_answered_or_refused(capsys, tmp_path):
+    """The 780 quadrics of K_40: its minimal vertex covers are found at once
+    whatever the order of the generators, so bw and filtration answer, and
+    scm and local-cohomology stop at gin's up-front refusal."""
+    n = 40
+    gens = [[int(k in e) for k in range(n)] for e in itertools.combinations(range(n), 2)]
+    path = tmp_path / "k40.json"
+    path.write_text(json.dumps({"vars": n, "gens": gens}))
+    data = run_json(capsys, ["bw", "--input", str(path)])
+    assert BWPolynomial.from_json(data["bw"]) == BWPolynomial({(1, 0): 1, (1, 1): n - 1})
+    assert run_json(capsys, ["filtration", "--input", str(path)])["d"] == 1
+    for verb in ("scm", "local-cohomology"):
+        assert main([verb, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: change of coordinates to 335790 terms refused (more than 262144)\n"
+
+
 def test_layer_rows_below_the_bound_are_answered(capsys, tmp_path):
     """x1^4000 has one layer row of 4000 coefficients, all 4000 of its
     (t-1)-coefficients nonzero."""
@@ -625,6 +644,63 @@ def test_zero_generators_are_dropped(capsys, tmp_path):
     with_zero = run_json(capsys, ["hilbert", "--input", str(path)])
     path.write_text(json.dumps({"vars": 2, "gens": [[1, 1]]}))
     assert with_zero == run_json(capsys, ["hilbert", "--input", str(path)])
+
+
+# inputs at the edges of the domain: each is answered or refused, never a crash
+EDGE_INPUTS = [
+    {"n": 3, "facets": [[]]},
+    {"n": 3, "facets": []},
+    {"n": 0, "facets": []},
+    {"n": 0, "facets": [[]]},
+    {"n": -1, "facets": []},
+    {"n": 2, "facets": [[3]]},
+    {"n": 2, "facets": [[0, 1]]},
+    {"n": 3, "facets": [[1, 1, 2]]},
+    {"n": 3, "facets": [[2, 3], [3, 2]]},
+    {"n": 3, "facets": None},
+    {"vars": 3, "gens": []},
+    {"vars": 3, "gens": [[0, 0, 0]]},
+    {"vars": 0, "gens": []},
+    {"vars": 2, "gens": ["0"]},
+    {"vars": 2, "gens": ["1"]},
+    {"vars": 2, "gens": ["x1 + 1"]},
+    {"vars": 2, "gens": ["x3"]},
+    {"vars": 2, "gens": ["1/0*x1"]},
+    {"vars": 2, "gens": ["x1 + x2", "0"]},
+    {"vars": 2, "gens": [[-1, 0]]},
+    {"vars": 2, "gens": [[1]]},
+    {"vars": 2, "gens": [[1, 0, 0]]},
+    {"vars": 2, "gens": [None]},
+    {"vars": 2, "gens": None},
+    {"vars": 2, "gens": "x1"},
+    {"vars": None, "gens": []},
+    {"vars": -1, "gens": []},
+    {},
+    [],
+    None,
+]
+
+
+def _edge_invocations():
+    for verb in bwkit.cli._HANDLERS:
+        extras = [[], ["--format", "text"]]
+        if verb in ("betti", "local-cohomology"):
+            extras.append(["--field", "p:2"])
+        if verb == "bw":
+            extras.append(["--via-gin"])
+        for extra in extras:
+            yield [verb, "--input", "-", *extra]
+
+
+def test_edge_inputs_exit_0_2_or_3(capsys, monkeypatch):
+    import io
+
+    for data in EDGE_INPUTS:
+        for argv in _edge_invocations():
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 2, 3), (argv, data)
 
 
 _SRC = str(Path(bwkit.__file__).resolve().parent.parent)

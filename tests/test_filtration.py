@@ -327,6 +327,31 @@ def test_scm_check_evaluates_each_distinct_level_once(monkeypatch, stability_dec
     assert Counter(computed) == {_gens_key(i): 1, _gens_key(j): 1}
 
 
+def test_battery_stops_once_every_criterion_has_missed(monkeypatch):
+    """The chain is I, I, I, (x5, x6), <1> with d = 4, and all five criteria
+    first miss at i = 2, so the battery never gins the level (x5, x6) at
+    i = 3: the only gin is the main one, of I.  The report is the
+    every-level oracle's."""
+    i = ideal(R6, (0, 0, 0, 0, 1, 0), (1, 1, 0, 0, 0, 1), (1, 0, 1, 0, 0, 1), (0, 1, 0, 1, 0, 1),
+              (0, 0, 1, 1, 0, 1))
+    chain = dimension_filtration(i)
+    assert chain.d == 4
+    assert chain.ideals[:3] == (i, i, i) and chain.ideals[3] != i
+    gins = Counter()
+    real_gin = filtration.gin
+
+    def counted_gin(q, seed=0):
+        gins[q] += 1
+        return real_gin(q, seed=seed)
+
+    monkeypatch.setattr(filtration, "gin", counted_gin)
+    report = scm_check(i, seed=0)
+    assert gins == {i: 1}
+    assert not report.scm
+    assert [c.witness_index for c in report.criteria] == [2] * 5
+    assert [c.to_json() for c in report.criteria] == battery_per_level(i, 0)
+
+
 def test_scm_check_numerates_each_ideal_once(monkeypatch):
     """One scm_check numerates its input and each distinct proper level of
     the input's chain once, though the layer decomposition, gin's target and

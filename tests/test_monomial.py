@@ -306,6 +306,27 @@ def test_decomposition_of_path_edge_ideal():
     assert chain.ideals[0] == i
 
 
+def test_minimal_transversals_depend_on_the_edge_set_alone():
+    """Berge takes the edges by size, then by mask, so every order of the
+    same edges gives the same list.  The minimal vertex covers of K_n are
+    its (n-1)-sets."""
+    rng = random.Random(35)
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        edges = [rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 5))]
+        want = _minimal_transversals(edges)
+        for perm in itertools.permutations(edges):
+            assert _minimal_transversals(perm) == want, edges
+    for n in (4, 6, 9):
+        edges = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(n), 2)]
+        want = _minimal_transversals(edges)
+        assert sorted(want) == sorted(((1 << n) - 1) ^ (1 << v) for v in range(n))
+        assert _minimal_transversals(frozenset(edges)) == want
+        for _ in range(20):
+            rng.shuffle(edges)
+            assert _minimal_transversals(edges) == want
+
+
 def test_decomposition_rejects_trivial():
     with pytest.raises(ValueError):
         primary_decomposition(MonomialIdeal.zero(R2))
